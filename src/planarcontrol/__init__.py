@@ -28,9 +28,6 @@ from .planar import (
     canonicalize,
     discriminant,
     line_coordinate,
-    matrix_exp,
-    perp,
-    rotation,
 )
 from .system import (
     ControlRangeWarning,
@@ -39,7 +36,6 @@ from .system import (
     equilibrium,
     flow,
     simulate,
-    spiral,
 )
 from .geometry import (
     InvarianceReport,

@@ -10,7 +10,9 @@ failure; 4 I/O failure.
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys as _sys
 from dataclasses import dataclass
@@ -119,39 +121,36 @@ def parse_config(text: str) -> SystemConfig:
     eta = _vector(doc, "eta", required=True)
     if eta[0] == 0.0 and eta[1] == 0.0:
         raise ValidationError("eta must be nonzero")
-    omega = doc.get("omega")
-    if omega is None or np.asarray(omega, dtype=float).shape != (2,):
-        raise ValidationError("field 'omega' must be [u_min, u_max]")
-    u_min, u_max = (float(x) for x in omega)
+    u_min, u_max = (float(x) for x in _vector(doc, "omega", required=True))
     if not u_min < u_max:
         raise ValidationError("u- < u+ required")
-    tr = a[0, 0] + a[1, 1]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if tr * tr - 4.0 * det >= 0.0:
-        raise ValidationError(
-            "discriminant nonnegative (complex eigenvalue pair required)"
-        )
     cfg = SystemConfig(a=a, eta=eta, u_min=u_min, u_max=u_max)
-    for key, attr, cast in (
-        ("samples", "samples", int),
-        ("tau_grid", "tau_grid", int),
-        ("epsilon", "epsilon", float),
-        ("seed", "seed", int),
-        ("u0", "u0", float),
-    ):
-        if key in doc:
-            try:
-                setattr(cfg, attr, cast(doc[key]))
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"field '{key}' must be a number") from exc
     grid = doc.get("grid", {})
     if not isinstance(grid, dict):
         raise ValidationError("field 'grid' must be an object")
-    for key, attr in (("dx", "dx"), ("dt", "dt"), ("horizon", "horizon")):
-        if key in grid:
-            cfg.__setattr__(attr, float(grid[key]))
+    for where, key, cast in (
+        (doc, "samples", int),
+        (doc, "tau_grid", int),
+        (doc, "epsilon", float),
+        (doc, "seed", int),
+        (doc, "u0", float),
+        (grid, "dx", float),
+        (grid, "dt", float),
+        (grid, "horizon", float),
+    ):
+        if key in where:
+            try:
+                setattr(cfg, key, cast(where[key]))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"field '{key}' must be a number") from exc
+    if cfg.u0 is not None and not math.isfinite(cfg.u0):
+        raise ValidationError("field 'u0' must be finite")
+    _check_ranges(cfg)
     if "bounds" in grid:
-        b = np.asarray(grid["bounds"], dtype=float)
+        try:
+            b = np.asarray(grid["bounds"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("grid.bounds must be numbers") from exc
         if b.shape != (4,):
             raise ValidationError("grid.bounds must be [xmin, xmax, ymin, ymax]")
         cfg.bounds = tuple(float(x) for x in b)
@@ -162,12 +161,34 @@ def parse_config(text: str) -> SystemConfig:
     if sweep is not None:
         if not isinstance(sweep, dict) or "nu" not in sweep or "grid" not in sweep:
             raise ValidationError("field 'sweep' must carry 'nu' and 'grid'")
-        cfg.sweep_nu = float(sweep["nu"])
         try:
+            cfg.sweep_nu = float(sweep["nu"])
             cfg.sweep_grid = [(float(p[0]), float(p[1])) for p in sweep["grid"]]
         except (TypeError, ValueError, IndexError) as exc:
-            raise ValidationError("sweep.grid must be a list of [alpha, rho]") from exc
+            raise ValidationError(
+                "sweep needs a number 'nu' and a list of [alpha, rho]"
+            ) from exc
     return cfg
+
+
+# Range of each tunable field, checked after the config is read and again
+# after command-line overrides.
+_RANGES = (
+    ("samples", lambda v: v >= 16, "at least 16"),
+    ("tau_grid", lambda v: v >= 16, "at least 16"),
+    ("epsilon", lambda v: v > 0.0, "positive"),
+    ("seed", lambda v: v >= 0, "nonnegative"),
+    ("dx", lambda v: v > 0.0, "positive"),
+    ("dt", lambda v: v > 0.0, "positive"),
+    ("horizon", lambda v: v > 0.0, "positive"),
+)
+
+
+def _check_ranges(cfg: SystemConfig) -> None:
+    for key, ok, rule in _RANGES:
+        value = getattr(cfg, key)
+        if not (math.isfinite(value) and ok(value)):
+            raise ValidationError(f"field '{key}' must be finite and {rule}")
 
 
 def build_system(cfg: SystemConfig) -> LinearControlSystem:
@@ -204,14 +225,14 @@ def _write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def _csv_text(header: str, rows) -> str:
     lines = [header]
     lines.extend(",".join(cells) for cells in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _check(name: str, passed: bool, margin: float) -> dict:
@@ -244,10 +265,7 @@ def _analysis_checks(sys_: LinearControlSystem, region, seed: int) -> list[dict]
     if len(inside):
         us = rng.uniform(work.u_min, work.u_max, len(inside))
         ss = rng.uniform(0.0, 3.0 * half, len(inside))
-        moved = np.array(
-            [flow(work, s, v, u) for v, u, s in zip(inside, us, ss)]
-        )
-        worst = float(region.margins_many(moved).min())
+        worst = float(region.margins_many(flow(work, ss, inside, us)).min())
     return [
         _check("half_turn_closure_to_p_minus", res_minus < 1e-9 * scale, res_minus),
         _check("half_turn_closure_to_p_plus", res_plus < 1e-9 * scale, res_plus),
@@ -258,15 +276,25 @@ def _analysis_checks(sys_: LinearControlSystem, region, seed: int) -> list[dict]
 
 
 def run(command: str, cfg: SystemConfig, args) -> dict:
-    """Execute one subcommand; returns the run report (also written to disk)."""
+    """Execute one subcommand; returns the run report (also written to disk).
+
+    The artifacts are written only after the command, and the SVG if one is
+    asked for, succeeded, so a failing run leaves no files.
+    """
     sys_ = build_system(cfg)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    samples = args.samples if args.samples is not None else cfg.samples
-    epsilon = args.epsilon if args.epsilon is not None else cfg.epsilon
-    dx = args.grid_dx if args.grid_dx is not None else cfg.dx
-    dt = args.grid_dt if args.grid_dt is not None else cfg.dt
-    horizon = args.horizon if args.horizon is not None else cfg.horizon
+    overrides = {
+        "samples": args.samples,
+        "epsilon": args.epsilon,
+        "dx": args.grid_dx,
+        "dt": args.grid_dt,
+        "horizon": args.horizon,
+    }
+    cfg = dataclasses.replace(
+        cfg, **{k: v for k, v in overrides.items() if v is not None}
+    )
+    _check_ranges(cfg)
+    samples, epsilon = cfg.samples, cfg.epsilon
+    dx, dt, horizon = cfg.dx, cfg.dt, cfg.horizon
     kind = classify(sys_)
     report: dict = {
         "command": command,
@@ -277,7 +305,11 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
         "checks": [],
         "files": [],
     }
-    files: list[tuple[str, str]] = []  # (name, kind) with kind json/csv/svg
+    outputs: list[tuple[str, str, str]] = []  # (name, path, text)
+
+    def emit(name: str, text: str) -> None:
+        outputs.append((name, os.path.join(args.out, name), text))
+
     svg_layers: list[np.ndarray] = []
     svg_markers: list[np.ndarray] = []
 
@@ -302,11 +334,7 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
     if command == "analyze":
         if region is not None:
             report["checks"] = _analysis_checks(sys_, region, cfg.seed)
-        path = os.path.join(out_dir, "analyze.json")
-        payload = dict(report)
-        payload["files"] = ["analyze.json"]
-        _write_json(path, payload)
-        files.append(("analyze.json", "json"))
+        emit("analyze.json", _json_text({**report, "files": ["analyze.json"]}))
 
     elif command == "orbit":
         if region is None:
@@ -323,8 +351,7 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
             rows.append(
                 (_fmt(half + half * i / n), _fmt(pt[0]), _fmt(pt[1]), _fmt(sys_.u_max))
             )
-        _write_csv(os.path.join(out_dir, "orbit.csv"), "t,x,y,u", rows)
-        files.append(("orbit.csv", "csv"))
+        emit("orbit.csv", _csv_text("t,x,y,u", rows))
 
     elif command == "member":
         if cfg.point is None:
@@ -335,11 +362,7 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
             v = region.contains(cfg.point)
             verdict = {"verdict": v.verdict.value, "margin": v.margin}
         report["member"] = verdict
-        _write_json(
-            os.path.join(out_dir, "member.json"),
-            {"point": cfg.point, **verdict},
-        )
-        files.append(("member.json", "json"))
+        emit("member.json", _json_text({"point": cfg.point, **verdict}))
         svg_markers.append(np.asarray(cfg.point, dtype=float))
 
     elif command == "plan":
@@ -356,8 +379,7 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
             (str(i), _fmt(u), _fmt(dtt))
             for i, (u, dtt) in enumerate(plan.schedule)
         ]
-        _write_csv(os.path.join(out_dir, "plan.csv"), "index,u,dt", rows)
-        files.append(("plan.csv", "csv"))
+        emit("plan.csv", _csv_text("index,u,dt", rows))
         report["plan"] = {
             "start": plan.start,
             "goal": plan.goal,
@@ -366,8 +388,7 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
             "hops": plan.hops,
             "time_reversed": plan.time_reversed,
         }
-        _write_json(os.path.join(out_dir, "plan.json"), report["plan"])
-        files.append(("plan.json", "json"))
+        emit("plan.json", _json_text(report["plan"]))
         sim_sys = sys_.time_reversed() if plan.time_reversed else sys_
         traj = simulate(sim_sys, plan.start, plan.schedule)
         svg_layers.append(traj.dense_states)
@@ -407,20 +428,14 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
         pts = reach.occupied_points()
-        _write_csv(
-            os.path.join(out_dir, "reach.csv"),
-            "x,y",
-            ((_fmt(p[0]), _fmt(p[1])) for p in pts),
-        )
-        files.append(("reach.csv", "csv"))
+        emit("reach.csv", _csv_text("x,y", ((_fmt(p[0]), _fmt(p[1])) for p in pts)))
         report["reach"] = {
             "occupied": reach.occupied_count(),
             "spill": reach.spill_count,
             "steps": reach.steps_run,
             "bounds": list(spec.bounds),
         }
-        _write_json(os.path.join(out_dir, "reach.json"), report["reach"])
-        files.append(("reach.json", "json"))
+        emit("reach.json", _json_text(report["reach"]))
         if not svg_layers:
             svg_layers.append(pts)
         svg_markers.extend(pts[:: max(1, len(pts) // 400)])
@@ -428,9 +443,12 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
     elif command == "sweep":
         if cfg.sweep_nu is None or not cfg.sweep_grid:
             raise ValidationError("sweep subcommand needs 'sweep.nu' and 'sweep.grid'")
-        points = sweep_control_ranges(
-            sys_.a, sys_.eta, cfg.sweep_nu, cfg.sweep_grid, samples_per_arc=samples
-        )
+        try:
+            points = sweep_control_ranges(
+                sys_.a, sys_.eta, cfg.sweep_nu, cfg.sweep_grid, samples_per_arc=samples
+            )
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
         rows = [
             (
                 _fmt(p.alpha),
@@ -443,12 +461,13 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
             )
             for p in points
         ]
-        _write_csv(
-            os.path.join(out_dir, "sweep.csv"),
-            "alpha,rho,p_plus_x,p_plus_y,p_minus_x,p_minus_y,hausdorff_prev",
-            rows,
+        emit(
+            "sweep.csv",
+            _csv_text(
+                "alpha,rho,p_plus_x,p_plus_y,p_minus_x,p_minus_y,hausdorff_prev",
+                rows,
+            ),
         )
-        files.append(("sweep.csv", "csv"))
         report["sweep"] = {
             "points": len(points),
             "p_plus_coordinates": [p.p_plus_coordinate for p in points],
@@ -462,10 +481,12 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
     if args.svg is not None:
         if not svg_layers:
             raise ValidationError("nothing to render for this command")
-        _write_text(args.svg, render_svg(svg_layers, svg_markers))
-        files.append((args.svg, "svg"))
+        outputs.append((args.svg, args.svg, render_svg(svg_layers, svg_markers)))
 
-    report["files"] = [name for name, _ in files]
+    os.makedirs(args.out, exist_ok=True)
+    for _, path, text in outputs:
+        _write_text(path, text)
+    report["files"] = [name for name, _, _ in outputs]
     return report
 
 

@@ -28,7 +28,7 @@ from .errors import (
     TraceZero,
     ZeroVector,
 )
-from .planar import CanonicalForm, as_vector, line_coordinate
+from .planar import QUARTER_TURN, CanonicalForm, as_vector, line_coordinate, spiral_arc
 from .system import LinearControlSystem, equilibrium
 from .controlset import BoundaryOrbit, is_trace_zero, periodic_orbit
 
@@ -97,16 +97,6 @@ def angle_between(a, b) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-def _spiral_points(cf: CanonicalForm, delta: np.ndarray, taus: np.ndarray):
-    """Canonical-frame arc points exp(tau*Ac) @ delta for an array of taus."""
-    r, w = cf.eig_real, cf.eig_imag
-    jdelta = np.array([-delta[1], delta[0]])
-    g = np.exp(r * taus)
-    return np.outer(g * np.cos(w * taus), delta) + np.outer(
-        g * np.sin(w * taus), jdelta
-    )
-
-
 def _spiral_tangents(cf: CanonicalForm, arc: np.ndarray) -> np.ndarray:
     """Tangent vectors Ac @ p for canonical-frame arc points p (n, 2)."""
     r, w = cf.eig_real, cf.eig_imag
@@ -147,7 +137,7 @@ class SpiralRegion:
         if norm == 0.0:
             raise DegenerateSpiral("region endpoints coincide")
         taus = np.linspace(0.0, math.pi / cf.eig_imag, self.tau_grid)
-        arc = _spiral_points(cf, delta, taus)
+        arc = spiral_arc(cf.lam, taus, delta, delta @ QUARTER_TURN.T)
         tangents = _spiral_tangents(cf, arc)
         normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
@@ -271,8 +261,9 @@ def tangent_margin_grid(
         slack = 1e-9 * (1.0 + tau_max)
         if np.any(tau_values < -slack) or np.any(tau_values > tau_max + slack):
             raise OutOfDomain(f"tau must lie in [0, {tau_max:.6g}]")
-    moving = _spiral_points(cf, w1 - w2, s_values) + w2  # (ns, 2)
-    ref = _spiral_points(cf, v1, tau_values)  # (nt, 2)
+    diff = w1 - w2
+    moving = spiral_arc(cf.lam, s_values, diff, diff @ QUARTER_TURN.T) + w2
+    ref = spiral_arc(cf.lam, tau_values, v1, v1 @ QUARTER_TURN.T)  # (nt, 2)
     tangents = _spiral_tangents(cf, ref)
     normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)  # (nt, 2)
     return moving @ normals.T - np.sum(ref * normals, axis=1)
@@ -330,7 +321,7 @@ def check_region_invariance(
         raise PreconditionViolated("w1 must lie in the region")
     sigma = angle_between(chord, diff)
     s = np.linspace(0.0, (math.pi - sigma) / cf.eig_imag, s_samples)
-    pts_c = _spiral_points(cf, diff, s) + zw2
+    pts_c = spiral_arc(cf.lam, s, diff, diff @ QUARTER_TURN.T) + zw2
     pts = cf.from_canonical(pts_c)
     margins = region.margins(pts)
     worst = int(np.argmin(margins))

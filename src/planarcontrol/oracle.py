@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EmptySet
 from .geometry import OrbitRegion, build_orbit_region, polyline_distance
-from .system import LinearControlSystem
+from .system import LinearControlSystem, flow
 from .controlset import periodic_orbit
 
 __all__ = [
@@ -315,7 +315,7 @@ def check_distance_contraction(
     worst = {"contract": -math.inf, "expand": -math.inf}
     violations = 0
     for s_signed, kind in ((mags, "pos"), (-mags, "neg")):
-        moved = _flow_batch(sys, s_signed, pts, us)
+        moved = flow(sys, s_signed, pts, us)
         inside = region.margins_many(moved) >= 0.0
         d1 = np.where(inside, 0.0, polyline_distance(moved, boundary))
         factor = np.exp(s_signed * er)
@@ -336,13 +336,3 @@ def check_distance_contraction(
         polyline_sag=sag,
     )
 
-
-def _flow_batch(sys: LinearControlSystem, s: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized flow with per-sample times, states and controls."""
-    cf = sys.canonical
-    centers = -u[:, None] * sys.inv_a_eta[None, :]
-    w = v - centers
-    gen_w = (w @ sys.a.T - cf.eig_real * w) / cf.eig_imag
-    g = np.exp(s * cf.eig_real)
-    c, sn = g * np.cos(s * cf.eig_imag), g * np.sin(s * cf.eig_imag)
-    return centers + c[:, None] * w + sn[:, None] * gen_w

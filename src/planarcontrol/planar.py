@@ -5,12 +5,13 @@ eigenvalues ``a ± ib`` with ``b > 0``.  Such a matrix is similar to the
 rotation-scaling matrix ``[[a, -b], [b, a]]``; in the adapted coordinates its
 flow is a genuine logarithmic spiral, which is what the rest of the package
 builds on.  This module constructs that change of basis deterministically and
-evaluates ``exp(tA)`` in closed form.
+holds the one closed-form evaluation of ``exp(tA)``, :func:`spiral_arc`.
 
 Vectors are numpy arrays of shape (2,), matrices of shape (2, 2); both are
 referred to as ``Vec2`` / ``Mat2`` in docstrings.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -20,15 +21,18 @@ from .errors import NotComplexSpectrum, OffLine, ZeroVector
 
 __all__ = [
     "CanonicalForm",
+    "QUARTER_TURN",
     "as_matrix",
     "as_vector",
     "canonicalize",
     "discriminant",
     "line_coordinate",
-    "matrix_exp",
-    "perp",
-    "rotation",
+    "spiral_arc",
 ]
+
+# The generator N of the normal form: the quarter turn (x, y) -> (-y, x).
+QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+QUARTER_TURN.setflags(write=False)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -59,18 +63,6 @@ def discriminant(a) -> float:
     return tr * tr - 4.0 * det
 
 
-def rotation(tau: float) -> np.ndarray:
-    """Rotation by ``tau`` radians, counter-clockwise for positive ``tau``."""
-    c, s = math.cos(tau), math.sin(tau)
-    return np.array([[c, -s], [s, c]])
-
-
-def perp(v) -> np.ndarray:
-    """Quarter-turn counter-clockwise: (x, y) -> (-y, x)."""
-    w = as_vector(v)
-    return np.array([-w[1], w[0]])
-
-
 @dataclass(frozen=True)
 class CanonicalForm:
     """Rotation-scaling normal form of a 2x2 matrix with complex spectrum.
@@ -92,6 +84,12 @@ class CanonicalForm:
         Change-of-basis matrix Q (canonical frame -> original frame).
     flipped : bool
         True iff det(basis) < 0.
+    generator : Mat2
+        N = (A - eig_real I) / eig_imag in the original frame, so that
+        exp(tA) = e^{t eig_real} (cos(t eig_imag) I + sin(t eig_imag) N);
+        it is Q QUARTER_TURN Q^-1.
+    lam : complex
+        The eigenvalue eig_real + i eig_imag.
     """
 
     eig_real: float
@@ -99,6 +97,8 @@ class CanonicalForm:
     basis: np.ndarray
     flipped: bool
     basis_inv: np.ndarray = field(repr=False, default=None)
+    generator: np.ndarray = field(repr=False, default=None)
+    lam: complex = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.basis_inv is None:
@@ -106,6 +106,10 @@ class CanonicalForm:
             det = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
             inv = np.array([[q[1, 1], -q[0, 1]], [-q[1, 0], q[0, 0]]]) / det
             object.__setattr__(self, "basis_inv", inv)
+        if self.generator is None:
+            gen = self.basis @ QUARTER_TURN @ self.basis_inv
+            object.__setattr__(self, "generator", gen)
+        object.__setattr__(self, "lam", complex(self.eig_real, self.eig_imag))
 
     def matrix(self) -> np.ndarray:
         """The normal form [[eig_real, -eig_imag], [eig_imag, eig_real]]."""
@@ -154,35 +158,34 @@ def canonicalize(a, tol: float = 1e-12) -> CanonicalForm:
     col2 = gen[:, 0]  # N @ (1, 0)
     det = col2[1]  # cross((1,0), col2)
     basis = np.array([[1.0, col2[0]], [0.0, col2[1]]]) / math.sqrt(abs(det))
-    return CanonicalForm(eig_real, eig_imag, basis, flipped=bool(det < 0.0))
+    gen.setflags(write=False)
+    return CanonicalForm(
+        eig_real, eig_imag, basis, flipped=bool(det < 0.0), generator=gen
+    )
 
 
-def matrix_exp(a, t: float) -> np.ndarray:
-    """Exact ``exp(t a)`` for a 2x2 matrix with complex spectrum.
+def spiral_arc(lam: complex, s, w, nw) -> np.ndarray:
+    """The closed form ``e^{s Re lam}(cos(s Im lam) w + sin(s Im lam) nw)``.
 
-    Uses the closed form
-    ``exp(tA) = e^{t r} (cos(t w) I + sin(t w) (A - r I) / w)``
-    with eigenvalues ``r ± iw``; equivalently a scaled rotation in the
-    canonical frame.
-
-    Raises
-    ------
-    NotComplexSpectrum
-        Propagated when the discriminant is nonnegative.
+    With ``lam = eig_real + i eig_imag`` and ``nw = N w`` for the generator N
+    of a matrix A (``CanonicalForm.generator``; QUARTER_TURN in the canonical
+    frame) this is ``exp(sA) w``, the one evaluation of the exponential in the
+    package.  ``w`` and ``nw`` have shape (..., 2) and the times ``s`` (a
+    float or an array) broadcast against their leading axes, so one time, an
+    array of times, or one time per state all work; with a scalar ``s``,
+    ``w = I`` and ``nw = N`` it is the matrix ``exp(sA)``, and with a
+    canonical point as a complex number ``z`` and ``nw = 1j * z`` it is that
+    point's image as a complex number.  The time-reversed system
+    (``-lam.real``, ``-nw``) at ``-s`` gives bitwise the same result.
     """
-    m = as_matrix(a)
-    disc = discriminant(m)
-    scale2 = float(np.sum(m * m))
-    if disc >= -1e-12 * max(scale2, 1e-300):
-        raise NotComplexSpectrum(
-            f"discriminant {disc:.6g} is not negative; matrix_exp closed form "
-            "requires a complex eigenvalue pair"
-        )
-    r = 0.5 * (m[0, 0] + m[1, 1])
-    w = 0.5 * math.sqrt(-disc)
-    gen = (m - r * np.eye(2)) / w
-    growth = math.exp(t * r)
-    return growth * math.cos(t * w) * np.eye(2) + growth * math.sin(t * w) * gen
+    z = lam * s
+    if isinstance(z, complex):
+        # One time: cmath returns a Python complex, whose parts multiply
+        # several times faster than numpy scalars (same libm values).
+        c = cmath.exp(z)
+    else:
+        c = np.exp(z)[..., None]
+    return c.real * w + c.imag * nw
 
 
 def line_coordinate(v, direction, tol: float = 1e-9) -> float:

@@ -12,8 +12,9 @@ u_min equilibrium by alternating extreme half turns whose iterates converge
 geometrically to the orbit corners; splicing in the backward exit arc of the
 target yields an endpoint within any requested epsilon.
 
-All constructions run in the canonical frame and emit exact-arc schedules, so
-every result is re-verified by simulation at machine precision.
+All constructions run in the canonical frame and emit exact-arc schedules, and
+every plan is certified by exact segment endpoints: the schedule is run from
+its start with closed-form flows, at machine precision.
 """
 
 import math
@@ -31,8 +32,8 @@ from .errors import (
     TraceZero,
 )
 from .geometry import Membership, OrbitRegion, build_orbit_region
-from .planar import as_vector
-from .system import LinearControlSystem, equilibrium, simulate
+from .planar import as_vector, spiral_arc
+from .system import LinearControlSystem, equilibrium, segment_endpoints
 from .controlset import is_trace_zero
 
 __all__ = [
@@ -46,9 +47,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlanResult:
-    """A schedule with its simulated endpoint and certification data.
+    """A schedule with its exact endpoint and certification data.
 
-    ``endpoint`` is the exact simulation of ``schedule`` from ``start``;
+    ``endpoint`` is the exact endpoint of ``schedule`` run from ``start``;
     ``endpoint_error`` is its Euclidean distance to ``goal``.  ``hops`` counts
     schedule segments.  ``time_reversed`` marks plans computed on the
     time-reversed system (positive-trace reach planning).
@@ -64,8 +65,8 @@ class PlanResult:
 
 
 def _certified(sys, start, goal, schedule, time_reversed=False) -> PlanResult:
-    traj = simulate(sys, start, schedule)
-    endpoint = traj.endpoint
+    _, _, states = segment_endpoints(sys, start, schedule)
+    endpoint = states[-1]
     return PlanResult(
         schedule=tuple(schedule),
         start=as_vector(start),
@@ -226,74 +227,77 @@ def loop_plan(sys: LinearControlSystem, start, u_goal: float, tol: float = 1e-9)
     return _certified(sys, hop.goal, as_vector(start), schedule)
 
 
+# Crossing-scan steps per half period.
+_SCAN_PER_HALF = 128
+
+
 def _wrap_pm_pi(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def _crossing_search(
     sys: LinearControlSystem,
-    x_of,
+    x_center: np.ndarray,
+    x_base: np.ndarray,
+    xi: float,
     s_max: float,
-    center: np.ndarray,
+    y_center: np.ndarray,
     y_base: np.ndarray,
     zeta: float,
     t_max: float,
-    grid_per_half: int = 128,
-    margin_stop=None,
 ):
-    """Find (s, t) where the x-curve meets a spiral y-curve, via polar branches.
+    """Find (s, t) where two spirals meet, via polar branches around y_center.
 
-    ``x_of`` maps s to a canonical-frame point.  The y-curve is the spiral
-    around ``center`` (canonical frame) through ``y_base`` with time direction
-    ``zeta``: its radius at time t is r0 * exp(zeta * eig_real * t) and its
-    polar angle is ang0 + zeta * eig_imag * t.  Matching angles with the
-    x-curve's unwrapped polar angle phi(s) gives, per winding number j, a
-    continuous time branch t_j(s) and a radial residual whose sign changes
-    are bisected in s.  Returns (s, t, residual) of the first crossing in
-    scan order, or None.
+    Both curves are canonical-frame spirals: the x-curve runs around
+    ``x_center`` through ``x_base`` with time direction ``xi`` (its point at
+    s is ``x_center + exp(xi s Ac)(x_base - x_center)``), and the y-curve runs
+    around ``y_center`` through ``y_base`` with time direction ``zeta``: its
+    radius at time t is r0 * exp(zeta * eig_real * t) and its polar angle is
+    ang0 + zeta * eig_imag * t.  Matching angles with the x-curve's unwrapped
+    polar angle phi(s) gives, per winding number j, a continuous time branch
+    t_j(s) and a radial residual whose sign changes are bisected in s.  The
+    scan covers s in [0, s_max].  Returns (s, t, residual) of the first
+    crossing in scan order, or None.
+
+    Points are complex numbers x + iy here, so the quarter turn is 1j and a
+    scalar step of the scan costs Python arithmetic rather than array ops.
     """
     cf = sys.canonical
-    ei, er = cf.eig_imag, cf.eig_real
-    rel = y_base - center
-    r0 = float(np.linalg.norm(rel))
-    ang0 = math.atan2(rel[1], rel[0])
+    ei, er, lam = cf.eig_imag, cf.eig_real, cf.lam
+    x_c, y_c = complex(*x_center), complex(*y_center)
+    x_rel = complex(*(x_base - x_center))
+    rel = complex(*(y_base - y_center))
+    r0 = float(np.linalg.norm(y_base - y_center))
+    ang0 = math.atan2(rel.imag, rel.real)
     two_pi = 2.0 * math.pi
 
-    def raw_angle(s):
-        d = x_of(s) - center
-        return math.atan2(d[1], d[0])
+    def x_of(s):
+        return x_c + spiral_arc(lam, xi * s, x_rel, 1j * x_rel)
 
-    def radius(s):
-        d = x_of(s) - center
-        return math.hypot(d[0], d[1])
+    def polar(s):
+        # Polar angle and radius of the x-curve about y_center.
+        d = x_of(s) - y_c
+        return math.atan2(d.imag, d.real), math.hypot(d.real, d.imag)
 
     def t_of(phi, j):
         # ang0 + zeta*ei*t = phi - 2*pi*j  =>  t = zeta*(phi - 2*pi*j - ang0)/ei
         return zeta * (phi - two_pi * j - ang0) / ei
 
-    def rho(s, phi, j):
-        return radius(s) - r0 * math.exp(zeta * er * t_of(phi, j))
-
-    def y_of(t):
-        # Canonical-frame point of the y-curve at time t.
-        g = math.exp(zeta * t * er)
-        ang = zeta * t * ei
-        c, sn = math.cos(ang), math.sin(ang)
-        return center + np.array(
-            [g * (c * rel[0] - sn * rel[1]), g * (sn * rel[0] + c * rel[1])]
-        )
+    def rho(radius, phi, j):
+        return radius - r0 * math.exp(zeta * er * t_of(phi, j))
 
     half = math.pi / ei
-    n = max(2, int(math.ceil(s_max / half * grid_per_half)))
+    n = max(2, int(math.ceil(s_max / half * _SCAN_PER_HALF)))
     s_grid = np.linspace(0.0, s_max, n + 1)
     slack = 1e-9 * (1.0 + t_max)
 
-    phi_prev = raw_angle(s_grid[0])
+    phi_prev, rad_prev = polar(s_grid[0])
     for i in range(1, len(s_grid)):
         s_lo, s_hi = float(s_grid[i - 1]), float(s_grid[i])
-        phi_lo = phi_prev
-        phi_hi = phi_lo + _wrap_pm_pi(raw_angle(s_hi) - phi_lo)
-        phi_prev = phi_hi
+        phi_lo, rad_lo = phi_prev, rad_prev
+        ang_hi, rad_hi = polar(s_hi)
+        phi_hi = phi_lo + _wrap_pm_pi(ang_hi - phi_lo)
+        phi_prev, rad_prev = phi_hi, rad_hi
         # Winding numbers whose time branch intersects [0, t_max] somewhere
         # in this s interval: every integer between the endpoint floors.
         floors = [
@@ -307,7 +311,7 @@ def _crossing_search(
                 -slack <= t_lo <= t_max + slack and -slack <= t_hi_ <= t_max + slack
             ):
                 continue
-            r_lo, r_hi = rho(s_lo, phi_lo, j), rho(s_hi, phi_hi, j)
+            r_lo, r_hi = rho(rad_lo, phi_lo, j), rho(rad_hi, phi_hi, j)
             if r_lo == 0.0:
                 r_lo = -r_hi  # treat exact zero at a node as a crossing
             if r_lo * r_hi > 0.0:
@@ -316,21 +320,19 @@ def _crossing_search(
             phi_a, rho_a = phi_lo, r_lo
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                phi_m = phi_a + _wrap_pm_pi(raw_angle(mid) - phi_a)
-                rho_m = rho(mid, phi_m, j)
+                ang_m, rad_m = polar(mid)
+                phi_m = phi_a + _wrap_pm_pi(ang_m - phi_a)
+                rho_m = rho(rad_m, phi_m, j)
                 if rho_a * rho_m <= 0.0:
                     hi = mid
                 else:
                     lo, phi_a, rho_a = mid, phi_m, rho_m
             s_root = 0.5 * (lo + hi)
-            phi_root = phi_a + _wrap_pm_pi(raw_angle(s_root) - phi_a)
+            phi_root = phi_a + _wrap_pm_pi(polar(s_root)[0] - phi_a)
             t_root = min(max(t_of(phi_root, j), 0.0), t_max)
-            x = x_of(s_root)
-            y = y_of(t_root)
-            res = float(np.linalg.norm(x - y))
+            y = y_c + spiral_arc(lam, zeta * t_root, rel, 1j * rel)
+            res = abs(x_of(s_root) - y)
             return float(s_root), float(t_root), res
-        if margin_stop is not None and margin_stop(s_hi):
-            break
     return None
 
 
@@ -376,23 +378,14 @@ def spiral_crossing(
     half = sys.half_period
     s_max = window_halfperiods * half
     t_max = window_halfperiods * half
-
-    def x_of(s):
-        w = v_c - e_min_c
-        g = math.exp(s * cf.eig_real)
-        ang = s * cf.eig_imag
-        rot = np.array([g * math.cos(ang), g * math.sin(ang)])
-        return e_min_c + np.array(
-            [rot[0] * w[0] - rot[1] * w[1], rot[1] * w[0] + rot[0] * w[1]]
-        )
-
     found = _crossing_search(
-        sys, x_of, s_max, e_u_c, e_min_c, zeta=-1.0, t_max=t_max
+        sys, e_min_c, v_c, 1.0, s_max, e_u_c, e_min_c, zeta=-1.0, t_max=t_max
     )
     if found is None or found[2] > tol * scale:
+        residual = "n/a" if found is None else f"{found[2]:.3g}"
         raise NoIntersectionFound(
             f"no spiral crossing within {window_halfperiods} half-periods "
-            f"(residual {'n/a' if found is None else found[2]:.3g})"
+            f"(residual {residual})"
         )
     return found[0], found[1]
 
@@ -424,7 +417,7 @@ def reach_plan(
     pairs : int, optional
         Fixed number of half-turn pairs (measurement mode); default chooses
         the smallest count predicted to beat ``epsilon`` and retries upward
-        until the simulated error passes.
+        until the certified error passes.
 
     Raises
     ------
@@ -461,37 +454,22 @@ def reach_plan(
     if np.linalg.norm(cf.to_canonical(target) - e_min_c) <= 1e-12 * scale:
         return _certified(work, e_min, target, (), time_reversed)
 
-    # (i) exact exit through the u_max arc via the backward u_min flow.
+    # (i) exact exit through the u_max arc via the backward u_min flow; the
+    # scan stops at s_cap, past the time the flow needs to leave the region.
     target_c = cf.to_canonical(target)
-
-    def x_of(s):
-        w = target_c - e_min_c
-        g = math.exp(-s * er)
-        ang = -s * ei
-        return e_min_c + np.array(
-            [
-                g * math.cos(ang) * w[0] - g * math.sin(ang) * w[1],
-                g * math.sin(ang) * w[0] + g * math.cos(ang) * w[1],
-            ]
-        )
-
-    def well_outside(s):
-        pt = cf.from_canonical(x_of(s))
-        return region.margin(pt) < -0.2 * scale
-
     r_target = float(np.linalg.norm(target_c - e_min_c))
     r_exit = float(np.linalg.norm(p_minus_c - e_min_c)) / max(q, 1e-300)
     s_cap = (math.log(max(r_exit / max(r_target, 1e-300), 1.0)) / max(-er, 1e-300)) + 4.0 * half
     found = _crossing_search(
         work,
-        x_of,
+        e_min_c,
+        target_c,
+        -1.0,
         s_cap,
         e_max_c,
         p_minus_c,
         zeta=1.0,
         t_max=half * (1.0 + 1e-12),
-        grid_per_half=128,
-        margin_stop=well_outside,
     )
     if found is None or found[2] > 1e-9 * scale:
         raise NoIntersectionFound("backward exit through the boundary arc not found")

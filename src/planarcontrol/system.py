@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpiral, InvalidControl
-from .planar import CanonicalForm, as_matrix, as_vector, canonicalize, matrix_exp
+from .errors import InvalidControl
+from .planar import CanonicalForm, as_matrix, as_vector, canonicalize, spiral_arc
 
 __all__ = [
     "ControlRangeWarning",
@@ -23,8 +23,8 @@ __all__ = [
     "equilibrium",
     "flow",
     "flow_many",
+    "segment_endpoints",
     "simulate",
-    "spiral",
 ]
 
 
@@ -94,10 +94,7 @@ class LinearControlSystem:
     def propagator(self, t: float) -> np.ndarray:
         """exp(t A) via the closed form."""
         cf = self.canonical
-        gen = (self.a - cf.eig_real * np.eye(2)) / cf.eig_imag
-        g = math.exp(t * cf.eig_real)
-        ang = t * cf.eig_imag
-        return g * math.cos(ang) * np.eye(2) + g * math.sin(ang) * gen
+        return spiral_arc(cf.lam, t, np.eye(2), cf.generator)
 
 
 def equilibrium(sys: LinearControlSystem, u: float) -> np.ndarray:
@@ -115,50 +112,29 @@ def equilibrium(sys: LinearControlSystem, u: float) -> np.ndarray:
     return -u * sys.inv_a_eta
 
 
-def flow(sys: LinearControlSystem, s: float, v, u: float) -> np.ndarray:
+def flow(sys: LinearControlSystem, s, v, u) -> np.ndarray:
     """Exact constant-control solution ``exp(sA)(v - v(u)) + v(u)``.
 
     ``s`` may have either sign.  ``flow(0, v, u) = v`` and the equilibrium is
-    a fixed point for every ``s``.
+    a fixed point for every ``s``.  Times (a float or an array), states
+    (shape (..., 2)) and controls broadcast: one state under an array of
+    times gives the arc through it, and arrays of all three flow each state
+    for its own time under its own control.
     """
-    v = as_vector(v)
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (2,) or not np.isfinite(v).all():
+        raise ValueError(f"expected finite states of shape (..., 2), got {v.shape}")
+    if np.ndim(u):
+        u = np.asarray(u, dtype=float)[..., None]
     center = -u * sys.inv_a_eta
     cf = sys.canonical
     w = v - center
-    gen_w = (sys.a @ w - cf.eig_real * w) / cf.eig_imag
-    g = math.exp(s * cf.eig_real)
-    ang = s * cf.eig_imag
-    return center + g * math.cos(ang) * w + g * math.sin(ang) * gen_w
+    return center + spiral_arc(cf.lam, s, w, w @ cf.generator.T)
 
 
 def flow_many(sys: LinearControlSystem, s, v, u: float) -> np.ndarray:
-    """Vectorized ``flow`` over an array of times ``s``; returns (n, 2)."""
-    s = np.asarray(s, dtype=float)
-    v = as_vector(v)
-    center = -u * sys.inv_a_eta
-    cf = sys.canonical
-    w = v - center
-    gen_w = (sys.a @ w - cf.eig_real * w) / cf.eig_imag
-    g = np.exp(s * cf.eig_real)
-    ang = s * cf.eig_imag
-    return center + np.outer(g * np.cos(ang), w) + np.outer(g * np.sin(ang), gen_w)
-
-
-def spiral(a, tau: float, v1, v2) -> np.ndarray:
-    """The spiral ``exp(tau A)(v1 - v2) + v2`` around ``v2`` through ``v1``.
-
-    Raises
-    ------
-    DegenerateSpiral
-        If v1 == v2 (the excluded diagonal).
-    NotComplexSpectrum
-        Propagated from the closed-form exponential.
-    """
-    v1 = as_vector(v1)
-    v2 = as_vector(v2)
-    if v1[0] == v2[0] and v1[1] == v2[1]:
-        raise DegenerateSpiral("spiral endpoints coincide")
-    return matrix_exp(as_matrix(a), tau) @ (v1 - v2) + v2
+    """``flow`` of one state ``v`` over an array of times ``s``; returns (n, 2)."""
+    return flow(sys, np.asarray(s, dtype=float), v, u)
 
 
 @dataclass(frozen=True)
@@ -188,6 +164,44 @@ class Trajectory:
         return float(self.times[-1])
 
 
+def segment_endpoints(
+    sys: LinearControlSystem, v0, schedule, backward: bool = False
+) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Validated ``(u, dt)`` segments, endpoint times and exact endpoint states.
+
+    Each segment endpoint is ``flow(±dt, previous endpoint, u)``; a
+    zero-duration segment contributes no endpoint.  With ``backward=True``
+    every segment is traversed in reversed time (durations stay
+    nonnegative).
+
+    Raises
+    ------
+    InvalidControl
+        If some segment control is outside the admissible range.
+    ValueError
+        If some segment duration is negative.
+    """
+    v = as_vector(v0)
+    segs = tuple((float(u), float(dt)) for u, dt in schedule)
+    for u, dt in segs:
+        if not sys.control_in_range(u):
+            raise InvalidControl(
+                f"control {u} outside range [{sys.u_min}, {sys.u_max}]"
+            )
+        if dt < 0.0:
+            raise ValueError("segment durations must be nonnegative")
+    sign = -1.0 if backward else 1.0
+    times = [0.0]
+    states = [v]
+    for u, dt in segs:
+        if dt == 0.0:
+            continue
+        v = flow(sys, sign * dt, v, u)
+        times.append(times[-1] + dt)
+        states.append(v)
+    return segs, np.array(times), np.vstack(states)
+
+
 def simulate(
     sys: LinearControlSystem,
     v0,
@@ -197,10 +211,9 @@ def simulate(
 ) -> Trajectory:
     """Run a schedule of ``(u, dt)`` segments from ``v0`` with exact arcs.
 
-    Each segment endpoint is ``flow(dt, previous endpoint, u)``; dense samples
-    at ``sample_step`` (default half_period / 256) are recorded alongside.
-    With ``backward=True`` every segment is traversed in reversed time
-    (durations stay nonnegative).
+    The segment endpoints are those of :func:`segment_endpoints`; dense
+    samples at ``sample_step`` (default half_period / 256) are recorded
+    alongside, each arc ending on its exact endpoint.
 
     Raises
     ------
@@ -209,42 +222,23 @@ def simulate(
     ValueError
         If some segment duration is negative.
     """
-    v0 = as_vector(v0)
-    segs = [(float(u), float(dt)) for u, dt in schedule]
-    for u, dt in segs:
-        if not sys.control_in_range(u):
-            raise InvalidControl(
-                f"control {u} outside range [{sys.u_min}, {sys.u_max}]"
-            )
-        if dt < 0.0:
-            raise ValueError("segment durations must be nonnegative")
+    segs, times, states = segment_endpoints(sys, v0, schedule, backward)
     if sample_step is None:
         sample_step = sys.half_period / 256.0
     sign = -1.0 if backward else 1.0
-
-    times = [0.0]
-    states = [v0]
-    dense_times = [0.0]
-    dense_states = [v0]
-    t = 0.0
-    v = v0
-    for u, dt in segs:
-        if dt == 0.0:
-            continue
+    dense_times = [times[:1]]
+    dense_states = [states[:1]]
+    arcs = [(u, dt) for u, dt in segs if dt != 0.0]
+    for i, (u, dt) in enumerate(arcs):
         n = max(2, int(math.ceil(dt / sample_step)) + 1)
-        local = np.linspace(0.0, dt, n)
-        pts = flow_many(sys, sign * local, v, u)
-        dense_times.extend((t + local[1:]).tolist())
-        dense_states.extend(pts[1:])
-        v = pts[-1]
-        t += dt
-        times.append(t)
-        states.append(v)
+        local = np.linspace(0.0, dt, n)[1:-1]
+        dense_times += [times[i] + local, times[i + 1 : i + 2]]
+        dense_states += [flow(sys, sign * local, states[i], u), states[i + 1 : i + 2]]
     return Trajectory(
-        times=np.array(times),
-        states=np.vstack(states),
-        schedule=tuple(segs),
-        dense_times=np.array(dense_times),
+        times=times,
+        states=states,
+        schedule=segs,
+        dense_times=np.concatenate(dense_times),
         dense_states=np.vstack(dense_states),
         backward=backward,
     )

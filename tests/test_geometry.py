@@ -22,7 +22,12 @@ from planarcontrol.geometry import (
     tangent_margin,
     tangent_margin_grid,
 )
-from planarcontrol.planar import canonicalize, line_coordinate
+from planarcontrol.planar import (
+    QUARTER_TURN,
+    canonicalize,
+    line_coordinate,
+    spiral_arc,
+)
 from planarcontrol.system import LinearControlSystem, equilibrium, flow
 
 from conftest import converged_fixed_points, random_system
@@ -191,10 +196,8 @@ def test_invariance_endpoint_lands_on_chord_interval(unit_region):
             continue
         sigma = angle_between(v1, diff)
         s_end = (math.pi - sigma) / cf.eig_imag
-        # evaluate via the region's own spiral: exp(s Ac)(w1 - w2) + w2
-        from planarcontrol.geometry import _spiral_points
-
-        end = _spiral_points(cf, diff, np.array([s_end]))[0] + w2
+        # evaluate the spiral exp(s Ac)(w1 - w2) + w2 in the canonical frame
+        end = spiral_arc(cf.lam, s_end, diff, diff @ QUARTER_TURN.T) + w2
         coord = line_coordinate(end, np.array([1.0, 0.0]), tol=1e-7)
         assert far_end[0] - 1e-7 <= coord <= v1[0] + 1e-7
 

@@ -1,4 +1,5 @@
-"""Canonical form, rotations, closed-form exponentials, line coordinates."""
+"""Canonical form, the quarter-turn generator, the closed-form exponential
+(``spiral_arc``), line coordinates."""
 
 import math
 
@@ -7,15 +8,25 @@ import pytest
 
 from planarcontrol.errors import NotComplexSpectrum, OffLine, ZeroVector
 from planarcontrol.planar import (
+    QUARTER_TURN,
     canonicalize,
     discriminant,
     line_coordinate,
-    matrix_exp,
-    perp,
-    rotation,
+    spiral_arc,
 )
 
 from conftest import random_complex_matrix, series_expm
+
+
+def matrix_exp(a, t: float) -> np.ndarray:
+    """exp(t a) from the kernel: spiral_arc with w = I and nw = N."""
+    cf = canonicalize(a)
+    return spiral_arc(cf.lam, t, np.eye(2), cf.generator)
+
+
+def rotation(tau: float) -> np.ndarray:
+    """Rotation by tau: the kernel for eigenvalue i in the canonical frame."""
+    return spiral_arc(1j, tau, np.eye(2), QUARTER_TURN)
 
 
 def test_discriminant_examples():
@@ -71,22 +82,33 @@ def test_reconstruction_roundtrip_random():
 
 
 def test_rotation_and_perp_examples():
-    np.testing.assert_allclose(perp([1.0, 0.0]), [0.0, 1.0], atol=0)
+    np.testing.assert_allclose(QUARTER_TURN @ [1.0, 0.0], [0.0, 1.0], atol=0)
     np.testing.assert_allclose(rotation(math.pi) @ [1.0, 0.0], [-1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(
         rotation(math.pi / 2) @ rotation(math.pi / 2), rotation(math.pi), atol=1e-15
     )
+    # The canonical frame's generator is exactly the quarter turn.
+    cf = canonicalize([[0.0, -1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(cf.generator, QUARTER_TURN)
 
 
 def test_perp_is_isometric_quarter_turn():
     rng = np.random.default_rng(3)
     for _ in range(100):
         v = rng.normal(0, 2, 2)
-        w = perp(v)
+        w = QUARTER_TURN @ v
         # Scalar products cancel exactly; numpy's dot may use FMA and not.
         assert float(v[0]) * float(w[0]) + float(v[1]) * float(w[1]) == 0.0
         assert math.hypot(w[0], w[1]) == pytest.approx(
             math.hypot(v[0], v[1]), rel=1e-15
+        )
+    # Every generator N is the quarter turn seen through the basis Q.
+    for _ in range(100):
+        cf = canonicalize(random_complex_matrix(rng))
+        n = cf.generator
+        assert np.abs(n @ n + np.eye(2)).max() < 1e-9 * max(1.0, np.abs(n).max()) ** 2
+        np.testing.assert_allclose(
+            cf.basis_inv @ n @ cf.basis, QUARTER_TURN, atol=1e-9 * np.abs(n).max()
         )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from planarcontrol.errors import (
     InvalidControl,
+    NoIntersectionFound,
     PreconditionViolated,
     TargetNotInterior,
     TraceNotZero,
@@ -227,6 +228,12 @@ def test_spiral_crossing_preconditions(s0, t0):
         spiral_crossing(t0, [0.1, 0.0], 1.0)
     with pytest.raises(PreconditionViolated):
         spiral_crossing(s0.time_reversed(), [0.1, 0.0], 1.0)
+
+
+def test_spiral_crossing_reports_no_crossing(s0):
+    # Half a half period is too short a window for the two spirals to meet.
+    with pytest.raises(NoIntersectionFound, match="residual n/a"):
+        spiral_crossing(s0, [0.3, 0.2], 1.0, window_halfperiods=0.5)
 
 
 def _interior_point(rng, region, shrink=0.8):

@@ -1,4 +1,5 @@
-"""Equilibria, exact flows, spirals, and piecewise-constant simulation."""
+"""Equilibria, exact flows (spirals about the equilibria), the broadcasting
+flow kernel, and piecewise-constant simulation."""
 
 import math
 
@@ -6,13 +7,15 @@ import numpy as np
 import pytest
 
 from planarcontrol.errors import DegenerateSpiral, InvalidControl
+from planarcontrol.geometry import SpiralRegion
 from planarcontrol.system import (
     ControlRangeWarning,
     LinearControlSystem,
     equilibrium,
     flow,
+    flow_many,
+    segment_endpoints,
     simulate,
-    spiral,
 )
 from planarcontrol.controlset import half_turn_fixed_points
 
@@ -89,42 +92,85 @@ def test_flow_reverse_consistency():
         assert np.linalg.norm(back - v) < 1e-9 * (1 + np.linalg.norm(v))
 
 
-def test_spiral_examples():
-    a = np.array([[-1.0, -1.0], [1.0, -1.0]])
+def test_spiral_examples(s0):
+    # The u = 0 solution is the spiral about the origin.
     v1 = np.array([1.0, 0.0])
-    v2 = np.zeros(2)
-    np.testing.assert_allclose(spiral(a, 0.0, v1, v2), v1, atol=0)
-    got = spiral(a, math.pi, v1, v2)
-    ref = series_expm(a, math.pi) @ v1
+    np.testing.assert_allclose(flow(s0, 0.0, v1, 0.0), v1, atol=0)
+    got = flow(s0, math.pi, v1, 0.0)
+    ref = series_expm(s0.a, math.pi) @ v1
     np.testing.assert_allclose(got, [-math.exp(-math.pi), 0.0], atol=1e-12)
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
-def test_spiral_radius_identity():
-    # The moving point stays on the circle of shrinking radius about v2.
-    a = np.array([[-1.0, -1.0], [1.0, -1.0]])
-    v1, v2 = np.array([1.0, 0.0]), np.zeros(2)
+def test_spiral_radius_identity(s0):
+    # The moving point stays on the circle of shrinking radius about v(0).
+    v1 = np.array([1.0, 0.0])
     for tau in np.linspace(0.0, math.pi, 17):
-        r = np.linalg.norm(spiral(a, tau, v1, v2) - v2)
+        r = np.linalg.norm(flow(s0, tau, v1, 0.0))
         assert r == pytest.approx(math.exp(-tau), rel=1e-9)
 
 
 def test_spiral_translation_identity():
+    # The spiral about v(u) is the spiral about the origin, translated.
     rng = np.random.default_rng(41)
     for _ in range(50):
-        a = random_system(rng).a
-        v1, v2 = rng.normal(0, 2, 2), rng.normal(0, 2, 2)
-        if np.allclose(v1, v2):
-            continue
+        sys = random_system(rng)
+        v, u = rng.normal(0, 2, 2), rng.uniform(-3, 3)
+        center = -u * sys.inv_a_eta
         tau = rng.uniform(-2, 2)
-        lhs = spiral(a, tau, v1, v2)
-        rhs = spiral(a, tau, v1 - v2, np.zeros(2)) + v2
+        lhs = flow(sys, tau, v, u)
+        rhs = flow(sys, tau, v - center, 0.0) + center
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * (1 + np.abs(rhs).max()))
 
 
 def test_spiral_rejects_diagonal():
+    # A spiral region whose arc would start on its own center is degenerate.
     with pytest.raises(DegenerateSpiral):
-        spiral([[-1, -1], [1, -1]], 1.0, [1.0, 2.0], [1.0, 2.0])
+        SpiralRegion([1.0, 2.0], [1.0, 2.0], LinearControlSystem(
+            [[-1, -1], [1, -1]], [1, 0], -1, 1).canonical)
+
+
+def test_flow_kernel_broadcasts_like_scalar_calls():
+    # A batch may take another BLAS path for N w than one state does, so
+    # batches agree with scalar calls to rounding, not bitwise.
+    def close(a, b):
+        b = np.asarray(b)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-14 * (1 + np.abs(b).max()))
+
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        sys = random_system(rng)
+        n = 7
+        s = rng.uniform(-5.0, 5.0, n)
+        v = rng.normal(0.0, 2.0, (n, 2))
+        u = rng.uniform(sys.u_min, sys.u_max, n)
+        # Times, states and controls all broadcast, alone or together.
+        close(flow(sys, s, v, u), [flow(sys, s[i], v[i], u[i]) for i in range(n)])
+        close(flow(sys, s, v[0], u[0]), [flow(sys, t, v[0], u[0]) for t in s])
+        close(flow(sys, s[0], v, u[0]), [flow(sys, s[0], x, u[0]) for x in v])
+        close(flow(sys, s[0], v[0], u), [flow(sys, s[0], v[0], c) for c in u])
+        np.testing.assert_array_equal(
+            flow_many(sys, s, v[0], u[0]), flow(sys, s, v[0], u[0])
+        )
+        grid = flow(sys, s[:, None], v[None, :3], u[0])
+        assert grid.shape == (n, 3, 2)
+        close(grid[:, 1], flow(sys, s, v[1], u[0]))
+        # The propagator is the independent series exp(tA), and flow is its
+        # affine conjugate about the equilibrium.
+        t = float(s[0])
+        ref = series_expm(sys.a, t)
+        assert np.abs(sys.propagator(t) - ref).max() < 1e-9 * max(1.0, np.abs(ref).max())
+        center = -u[0] * sys.inv_a_eta
+        expect = center + ref @ (v[0] - center)
+        scale = 1.0 + np.abs(ref).max() * (1.0 + np.abs(v[0] - center).max())
+        assert np.abs(flow(sys, t, v[0], u[0]) - expect).max() < 1e-9 * scale
+
+
+def test_flow_rejects_bad_states(s0):
+    with pytest.raises(ValueError):
+        flow(s0, 1.0, [1.0, 2.0, 3.0], 0.0)
+    with pytest.raises(ValueError):
+        flow(s0, 1.0, [math.nan, 0.0], 0.0)
 
 
 def test_simulate_empty_schedule(s0):
@@ -180,6 +226,24 @@ def test_trajectory_timestamps_strictly_increase(s0):
     assert np.all(np.diff(traj.dense_times) > 0)
 
 
+def test_segment_endpoints_match_simulate():
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        sys = random_system(rng)
+        v0 = rng.normal(0, 1, 2)
+        sched = [(rng.uniform(sys.u_min, sys.u_max), rng.uniform(0, 2)) for _ in range(4)]
+        sched.insert(2, (sys.u_min, 0.0))
+        for backward in (False, True):
+            segs, times, states = segment_endpoints(sys, v0, sched, backward)
+            traj = simulate(sys, v0, sched, backward)
+            assert segs == traj.schedule
+            np.testing.assert_array_equal(times, traj.times)
+            np.testing.assert_array_equal(states, traj.states)
+            # Every arc of the dense samples ends on its exact endpoint.
+            at = np.searchsorted(traj.dense_times, times)
+            np.testing.assert_array_equal(traj.dense_states[at], states)
+
+
 def test_time_reversed_system_shares_equilibria(s0):
     rev = s0.time_reversed()
     np.testing.assert_allclose(
@@ -189,3 +253,13 @@ def test_time_reversed_system_shares_equilibria(s0):
     np.testing.assert_allclose(
         flow(rev, 1.3, v, 0.8), flow(s0, -1.3, v, 0.8), atol=1e-12
     )
+    # Reversal is exact: the grid oracle's backward sweep relies on it.
+    rng = np.random.default_rng(81)
+    for _ in range(50):
+        sys = random_system(rng)
+        t = rng.uniform(-5.0, 5.0, 4)
+        pts = rng.normal(0.0, 2.0, (4, 2))
+        u = rng.uniform(sys.u_min, sys.u_max, 4)
+        rev = sys.time_reversed()
+        np.testing.assert_array_equal(flow(rev, t, pts, u), flow(sys, -t, pts, u))
+        np.testing.assert_array_equal(rev.propagator(t[0]), sys.propagator(-t[0]))
