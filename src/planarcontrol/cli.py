@@ -64,7 +64,6 @@ class SystemConfig:
     u_min: float
     u_max: float
     samples: int = 256
-    tau_grid: int = 512
     epsilon: float = 1e-4
     seed: int = 0
     dx: float = 0.02
@@ -109,6 +108,8 @@ def parse_config(text: str) -> SystemConfig:
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("config must be a JSON object")
+    if "tau_grid" in doc:
+        raise ValidationError("field 'tau_grid' was removed: membership is exact")
     raw_a = doc.get("a", doc.get("A"))
     if raw_a is None:
         raise ValidationError("missing required field 'a'")
@@ -130,7 +131,6 @@ def parse_config(text: str) -> SystemConfig:
         raise ValidationError("field 'grid' must be an object")
     for where, key, cast in (
         (doc, "samples", int),
-        (doc, "tau_grid", int),
         (doc, "epsilon", float),
         (doc, "seed", int),
         (doc, "u0", float),
@@ -175,7 +175,6 @@ def parse_config(text: str) -> SystemConfig:
 # after command-line overrides.
 _RANGES = (
     ("samples", lambda v: v >= 16, "at least 16"),
-    ("tau_grid", lambda v: v >= 16, "at least 16"),
     ("epsilon", lambda v: v > 0.0, "positive"),
     ("seed", lambda v: v >= 0, "nonnegative"),
     ("dx", lambda v: v > 0.0, "positive"),
@@ -315,9 +314,7 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
 
     region = None
     if kind is not Classification.CONTROLLABLE_TRACE_ZERO:
-        region = build_orbit_region(
-            sys_, samples_per_arc=samples, tau_grid=cfg.tau_grid
-        )
+        region = build_orbit_region(sys_, samples_per_arc=samples)
         report["p_plus"] = region.p_plus
         report["p_minus"] = region.p_minus
         report["orbit_samples"] = len(region.boundary)
@@ -389,9 +386,10 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
             "time_reversed": plan.time_reversed,
         }
         emit("plan.json", _json_text(report["plan"]))
-        sim_sys = sys_.time_reversed() if plan.time_reversed else sys_
-        traj = simulate(sim_sys, plan.start, plan.schedule)
-        svg_layers.append(traj.dense_states)
+        if args.svg is not None:  # the dense trajectory is drawn, never written
+            sim_sys = sys_.time_reversed() if plan.time_reversed else sys_
+            traj = simulate(sim_sys, plan.start, plan.schedule)
+            svg_layers.append(traj.dense_states)
         svg_markers.extend([plan.start, plan.goal])
 
     elif command == "reach":

@@ -1,18 +1,23 @@
 """Spiral-bounded regions, membership tests, and the invariance margin function.
 
-A spiral region is bounded by the chord through two points and the half-turn
-spiral arc joining them.  In the canonical frame the arc is a genuine
-logarithmic spiral, the region is convex, and it is exactly the set of points
-lying on the inner side of the chord and of every arc tangent.  Membership is
-therefore evaluated as a minimum of inner products over a tau grid of tangent
-constraints, always in the canonical frame (which also makes the test exact
-for clockwise systems and skewed bases).
+A spiral region is bounded by the chord line through its centre c and the
+half-turn arc from its other point.  In the canonical frame the arc is a
+logarithmic spiral: at polar angle phi in [0, pi], counted from delta (the
+vector from c to the arc start), it lies |delta| e^{ratio phi} from c, with
+ratio = eig_real/eig_imag.  Membership is therefore closed-form, in the
+canonical frame (exact also for clockwise systems and skewed bases): a point
+z on the arc's side of the chord line has
 
-The region enclosed by the periodic boundary orbit is the union of two such
-half regions sharing their chord.  The union is convex (the arcs meet with
-parallel tangents at the fixed points), so membership drops the chord
-constraints and intersects the two arcs' tangent families; points on the open
-chord correctly come out interior.
+    margin = (|delta| e^{ratio phi} - |z - c|) * eig_imag / |lam|,
+
+zero on the arc, positive inside, negative outside.  A log spiral meets every
+ray from its centre at the constant angle arg lam, so the margin equals the
+canonical-frame distance to the arc to first order.
+
+The region enclosed by the periodic orbit is the union of two half regions
+on opposite sides of their shared chord line (through p_minus, v(u_min),
+v(u_max) and p_plus).  Membership picks the half by one side test against
+that line, so points on the open chord come out interior.
 """
 
 import math
@@ -56,10 +61,10 @@ class Membership(Enum):
 
 @dataclass(frozen=True)
 class MembershipVerdict:
-    """Classification of a query point with its signed constraint margin.
+    """Classification of a query point with its signed margin.
 
-    The margin is the minimum over the active constraint family of the signed
-    distance (in the canonical frame) to each constraint line; boundary means
+    The margin is the polar margin of the module docstring (for a spiral
+    region, capped by the signed distance to the chord line); boundary means
     |margin| is within the tolerance band.
     """
 
@@ -97,76 +102,59 @@ def angle_between(a, b) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-def _spiral_tangents(cf: CanonicalForm, arc: np.ndarray) -> np.ndarray:
-    """Tangent vectors Ac @ p for canonical-frame arc points p (n, 2)."""
-    r, w = cf.eig_real, cf.eig_imag
-    jarc = np.stack([-arc[:, 1], arc[:, 0]], axis=1)
-    return r * arc + w * jarc
-
-
 @dataclass(frozen=True)
 class SpiralRegion:
-    """Region bounded by the chord [v1, v2] and the half-turn arc from v1.
+    """Region bounded by the chord line through v2 and the half-turn arc from v1.
 
-    Constraint data is precomputed on a tau grid in the canonical frame of the
-    region's matrix; ``tau_grid`` must be at least 16 (default 512).
+    The arc runs half a turn about the centre v2 from v1 (see the module
+    docstring); the region is the part of the arc's side of the chord line
+    within the arc's radius at each polar angle.
     """
 
     v1: np.ndarray
     v2: np.ndarray
     canonical: CanonicalForm
-    tau_grid: int = 512
-    _chord_base: np.ndarray = field(init=False, repr=False)
-    _chord_normal: np.ndarray = field(init=False, repr=False)
-    _arc_base: np.ndarray = field(init=False, repr=False)
-    _arc_normal: np.ndarray = field(init=False, repr=False)
+    _centre: np.ndarray = field(init=False, repr=False)
+    _delta: np.ndarray = field(init=False, repr=False)
     scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.tau_grid < 16:
-            raise ValueError("tau_grid must be at least 16")
         v1 = as_vector(self.v1)
         v2 = as_vector(self.v2)
         object.__setattr__(self, "v1", v1)
         object.__setattr__(self, "v2", v2)
         cf = self.canonical
-        z1 = cf.to_canonical(v1)
         z2 = cf.to_canonical(v2)
-        delta = z1 - z2
+        delta = cf.to_canonical(v1) - z2
         norm = math.hypot(delta[0], delta[1])
         if norm == 0.0:
             raise DegenerateSpiral("region endpoints coincide")
-        taus = np.linspace(0.0, math.pi / cf.eig_imag, self.tau_grid)
-        arc = spiral_arc(cf.lam, taus, delta, delta @ QUARTER_TURN.T)
-        tangents = _spiral_tangents(cf, arc)
-        normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        chord_normal = np.array([-delta[1], delta[0]]) / norm
-        object.__setattr__(self, "_chord_base", z2)
-        object.__setattr__(self, "_chord_normal", chord_normal)
-        object.__setattr__(self, "_arc_base", arc + z2)
-        object.__setattr__(self, "_arc_normal", normals)
+        object.__setattr__(self, "_centre", z2)
+        object.__setattr__(self, "_delta", delta)
         object.__setattr__(self, "scale", norm)
 
-    def _canonical_points(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.canonical.to_canonical(pts)
+    def _chord_margins(self, z: np.ndarray) -> np.ndarray:
+        """Signed distance of canonical points (n, 2) to the chord line,
+        positive on the arc's side."""
+        (dx, dy), (cx, cy) = self._delta, self._centre
+        return (dx * (z[:, 1] - cy) - dy * (z[:, 0] - cx)) / self.scale
 
-    def arc_margins(self, points) -> np.ndarray:
-        """Minimum tangent-constraint margin per query point (n,)."""
-        x = self._canonical_points(points)
-        vals = x @ self._arc_normal.T - np.sum(
-            self._arc_base * self._arc_normal, axis=1
-        )
-        return vals.min(axis=1)
-
-    def chord_margins(self, points) -> np.ndarray:
-        x = self._canonical_points(points)
-        return (x - self._chord_base) @ self._chord_normal
+    def _arc_margins(self, z: np.ndarray) -> np.ndarray:
+        """Polar arc margin of canonical points (n, 2), chord side ignored."""
+        cf = self.canonical
+        (dx, dy), (cx, cy) = self._delta, self._centre
+        rx, ry = z[:, 0] - cx, z[:, 1] - cy
+        phi = np.arctan2(dx * ry - dy * rx, dx * rx + dy * ry)
+        # Fold onto [0, pi]: a point on the chord line can round to a
+        # negative angle, -0.0 beside the arc start or -pi beside its end.
+        phi = np.where(phi < -0.5 * math.pi, math.pi, np.maximum(phi, 0.0))
+        bound = self.scale * np.exp((cf.eig_real / cf.eig_imag) * phi)
+        return (bound - np.hypot(rx, ry)) * (cf.eig_imag / abs(cf.lam))
 
     def margins(self, points) -> np.ndarray:
         """Full region margin (chord and arc constraints) per point (n,)."""
-        return np.minimum(self.arc_margins(points), self.chord_margins(points))
+        z = np.atleast_2d(self.canonical.to_canonical(points))
+        return np.minimum(self._arc_margins(z), self._chord_margins(z))
 
 
 def region_contains(region: SpiralRegion, v, tol: float | None = None) -> MembershipVerdict:
@@ -264,8 +252,8 @@ def tangent_margin_grid(
     diff = w1 - w2
     moving = spiral_arc(cf.lam, s_values, diff, diff @ QUARTER_TURN.T) + w2
     ref = spiral_arc(cf.lam, tau_values, v1, v1 @ QUARTER_TURN.T)  # (nt, 2)
-    tangents = _spiral_tangents(cf, ref)
-    normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)  # (nt, 2)
+    tangents = cf.eig_real * ref + cf.eig_imag * (ref @ QUARTER_TURN.T)
+    normals = tangents @ QUARTER_TURN.T  # (nt, 2)
     return moving @ normals.T - np.sum(ref * normals, axis=1)
 
 
@@ -301,12 +289,10 @@ def check_region_invariance(
         raise PreconditionViolated("invariance requires eig_real < 0")
     w1 = as_vector(w1)
     w2 = as_vector(w2)
-    z1 = cf.to_canonical(region.v1)
-    z2 = cf.to_canonical(region.v2)
+    chord = region._delta
     zw1 = cf.to_canonical(w1)
     zw2 = cf.to_canonical(w2)
-    chord = z1 - z2
-    rel = zw2 - z2
+    rel = zw2 - region._centre
     coord = float(rel @ chord) / float(chord @ chord)
     off = rel - coord * chord
     if math.hypot(off[0], off[1]) > 1e-9 * (1.0 + region.scale):
@@ -363,10 +349,14 @@ class OrbitRegion:
         return self.orbit.p_minus
 
     def margins_many(self, points) -> np.ndarray:
-        """Support margin per point: min over both arcs' tangent families."""
-        return np.minimum(
-            self.half_plus.arc_margins(points), self.half_minus.arc_margins(points)
-        )
+        """Exact margin per point: the arc margin of the half on its side of
+        the shared chord line."""
+        z = np.atleast_2d(self.work_system.canonical.to_canonical(points))
+        plus = self.half_plus._chord_margins(z) >= 0.0
+        out = np.empty(len(z))
+        out[plus] = self.half_plus._arc_margins(z[plus])
+        out[~plus] = self.half_minus._arc_margins(z[~plus])
+        return out
 
     def margin(self, v) -> float:
         return float(self.margins_many(as_vector(v))[0])
@@ -388,11 +378,7 @@ class OrbitRegion:
         return 0.0
 
 
-def build_orbit_region(
-    sys: LinearControlSystem,
-    samples_per_arc: int = 1024,
-    tau_grid: int = 512,
-) -> OrbitRegion:
+def build_orbit_region(sys: LinearControlSystem, samples_per_arc: int = 1024) -> OrbitRegion:
     """Construct the enclosed region of the periodic orbit of ``sys``.
 
     Raises
@@ -407,8 +393,8 @@ def build_orbit_region(
     orbit = periodic_orbit(work, samples_per_arc)
     v_min = equilibrium(work, work.u_min)
     v_max = equilibrium(work, work.u_max)
-    half_plus = SpiralRegion(orbit.p_plus, v_min, work.canonical, tau_grid)
-    half_minus = SpiralRegion(orbit.p_minus, v_max, work.canonical, tau_grid)
+    half_plus = SpiralRegion(orbit.p_plus, v_min, work.canonical)
+    half_minus = SpiralRegion(orbit.p_minus, v_max, work.canonical)
     zp = work.canonical.to_canonical(orbit.p_plus)
     zm = work.canonical.to_canonical(orbit.p_minus)
     scale = math.hypot(zp[0] - zm[0], zp[1] - zm[1])
@@ -446,17 +432,23 @@ def polyline_distance(points, polyline: np.ndarray) -> np.ndarray:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     poly = np.asarray(polyline, dtype=float)
-    a = poly[:-1]
-    d = poly[1:] - a
-    len2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
+    ax, ay = poly[:-1, 0], poly[:-1, 1]
+    dx, dy = poly[1:, 0] - ax, poly[1:, 1] - ay
+    inv_len2 = 1.0 / np.maximum(dx * dx + dy * dy, 1e-300)
     out = np.empty(len(pts))
-    chunk = 1024
+    # Rows per chunk keep each (chunk, m) temporary near 128 KB, in cache.
+    chunk = max(1, 16384 // max(1, len(ax)))
     for lo in range(0, len(pts), chunk):
-        x = pts[lo : lo + chunk]  # (c, 2)
-        t = ((x[:, None, :] - a[None, :, :]) * d[None, :, :]).sum(axis=2) / len2
-        t = np.clip(t, 0.0, 1.0)
-        proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-        diff = x[:, None, :] - proj
-        dist2 = np.sum(diff * diff, axis=2)
-        out[lo : lo + chunk] = np.sqrt(dist2.min(axis=1))
+        rx = pts[lo : lo + chunk, 0:1] - ax  # (c, m)
+        ry = pts[lo : lo + chunk, 1:2] - ay
+        t = rx * dx
+        t += ry * dy
+        t *= inv_len2
+        np.clip(t, 0.0, 1.0, out=t)
+        rx -= t * dx
+        ry -= t * dy
+        rx *= rx
+        ry *= ry
+        rx += ry
+        out[lo : lo + chunk] = np.sqrt(rx.min(axis=1))
     return out

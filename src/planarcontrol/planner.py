@@ -340,7 +340,7 @@ def spiral_crossing(
     sys: LinearControlSystem,
     v,
     u: float,
-    window_halfperiods: float = 8.0,
+    window_halfperiods: float | None = None,
     tol: float = 1e-9,
 ) -> tuple[float, float]:
     """Times (s0, t0) with flow(s0, v, u_min) == flow(-t0, v(u_min), u).
@@ -348,7 +348,8 @@ def spiral_crossing(
     Realizes reaching the u_min equilibrium from ``v``: the forward u_min
     spiral from ``v`` meets the backward u-spiral emanating from that
     equilibrium.  The search covers ``window_halfperiods`` half periods in
-    both time variables.
+    both time variables; by default it grows with the contraction time until
+    the backward u-spiral has passed ``v``.
 
     Raises
     ------
@@ -375,6 +376,13 @@ def spiral_crossing(
     e_u_c = cf.to_canonical(equilibrium(sys, u))
     e_min_c = cf.to_canonical(e_min)
     v_c = cf.to_canonical(v)
+    if window_halfperiods is None:
+        # The u-spiral is at least r0 (e^{-er t} - 1) from e_min, beyond the
+        # whole forward spiral once t > ln(1 + |v - e_min|/r0)/(-er); two
+        # more turns leave room to match the polar angles.
+        r0 = float(np.linalg.norm(e_u_c - e_min_c))
+        growth = math.log1p(float(np.linalg.norm(v_c - e_min_c)) / r0)
+        window_halfperiods = growth * cf.eig_imag / (-math.pi * cf.eig_real) + 4.0
     half = sys.half_period
     s_max = window_halfperiods * half
     t_max = window_halfperiods * half
@@ -384,7 +392,7 @@ def spiral_crossing(
     if found is None or found[2] > tol * scale:
         residual = "n/a" if found is None else f"{found[2]:.3g}"
         raise NoIntersectionFound(
-            f"no spiral crossing within {window_halfperiods} half-periods "
+            f"no spiral crossing within {window_halfperiods:.6g} half-periods "
             f"(residual {residual})"
         )
     return found[0], found[1]

@@ -42,6 +42,7 @@ def _run(tmp_path, command, doc, *extra):
         ("analyze", {"a": [[1.0, 2.0], [3.0, 4.0]]}),
         ("sweep", {"sweep": {"nu": "x", "grid": [[-1, 1]]}}),
         ("sweep", {"sweep": {"nu": 0.0, "grid": [[0.5, 1.0]]}}),
+        ("plan", {"tau_grid": 512}),
     ],
 )
 def test_malformed_field_exits_2_without_artifacts(tmp_path, capsys, command, change):
@@ -49,6 +50,34 @@ def test_malformed_field_exits_2_without_artifacts(tmp_path, capsys, command, ch
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_removed_tau_grid_is_named(tmp_path, capsys):
+    code, _ = _run(tmp_path, "analyze", {**BASE, "tau_grid": 512})
+    assert code == 2
+    assert "'tau_grid' was removed" in capsys.readouterr().err
+
+
+def test_plan_simulates_only_for_svg(tmp_path, monkeypatch):
+    runs = {}
+    for name, extra in (("plain", ()), ("svg", ("--svg", str(tmp_path / "p.svg")))):
+        sub = tmp_path / name
+        sub.mkdir()
+        code, out = _run(sub, "plan", BASE, *extra)
+        assert code == 0
+        runs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert (tmp_path / "p.svg").exists()
+    assert runs["plain"] == runs["svg"]
+    # Without --svg the dense trajectory is never computed.
+    def no_simulate(*args, **kwargs):
+        raise AssertionError("simulate called without --svg")
+
+    monkeypatch.setattr("planarcontrol.cli.simulate", no_simulate)
+    sub = tmp_path / "patched"
+    sub.mkdir()
+    code, out = _run(sub, "plan", BASE)
+    assert code == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == runs["plain"]
 
 
 def test_malformed_command_line_override_exits_2(tmp_path):

@@ -30,7 +30,7 @@ from planarcontrol.planar import (
 )
 from planarcontrol.system import LinearControlSystem, equilibrium, flow
 
-from conftest import converged_fixed_points, random_system
+from conftest import converged_fixed_points, random_system, series_expm
 
 
 @pytest.fixture
@@ -52,7 +52,7 @@ def _random_region(rng):
         delta = rng.normal(0.0, 1.0, 2)
         if np.linalg.norm(delta) > 0.3:
             break
-    return SpiralRegion(v2 + delta, v2, cf, tau_grid=256)
+    return SpiralRegion(v2 + delta, v2, cf)
 
 
 def _sample_inside(rng, region, margin_floor=0.0):
@@ -151,7 +151,7 @@ def test_tangent_margin_nonnegative_random_configurations():
         v1 = rng.normal(0.0, 1.5, 2)
         if np.linalg.norm(v1) < 0.3:
             continue
-        region = SpiralRegion(v1, np.zeros(2), cf, tau_grid=256)
+        region = SpiralRegion(v1, np.zeros(2), cf)
         w2 = rng.uniform(0.05, 1.0) * v1
         w1 = _sample_inside(rng, region)
         if np.linalg.norm(w1 - w2) < 1e-6:
@@ -273,6 +273,20 @@ def test_contains_region_examples(s0):
     assert region.contains([100.0, 100.0]).verdict is Membership.EXTERIOR
 
 
+def test_margin_is_first_order_canonical_distance(unit_region):
+    # Canonical basis I: the arc is e^{-phi}(cos phi, sin phi).  Moving a
+    # distance d off the arc along its normal changes the margin by -d, up to
+    # curvature terms of order d^2.
+    d = 1e-6
+    for phi in np.linspace(0.1, 3.0, 12):
+        arc = math.exp(-phi) * np.array([math.cos(phi), math.sin(phi)])
+        tangent = np.array([[-1.0, -1.0], [1.0, -1.0]]) @ arc
+        outward = np.array([tangent[1], -tangent[0]]) / np.linalg.norm(tangent)
+        for side in (1.0, -1.0):
+            margin = unit_region.margins(arc + side * d * outward)[0]
+            assert margin == pytest.approx(-side * d, rel=1e-3)
+
+
 def test_exterior_distance_examples(s0):
     region = build_orbit_region(s0)
     assert region.exterior_distance([0.0, 0.0]) == 0.0
@@ -343,7 +357,7 @@ def test_membership_equivariance_rotation_translation():
         a_old = region.canonical.basis @ region.canonical.matrix() @ region.canonical.basis_inv
         cf_new = canonicalize(rot @ a_old @ rot.T)
         moved = SpiralRegion(
-            rot @ region.v1 + shift, rot @ region.v2 + shift, cf_new, region.tau_grid
+            rot @ region.v1 + shift, rot @ region.v2 + shift, cf_new
         )
         for _ in range(5):
             probe = rng.normal(0.0, 1.5, 2)
@@ -356,3 +370,160 @@ def test_polyline_distance_basics():
     poly = np.array([[0.0, 0.0], [1.0, 0.0]])
     d = polyline_distance(np.array([[0.5, 0.7], [2.0, 0.0], [-1.0, 0.0]]), poly)
     np.testing.assert_allclose(d, [0.7, 1.0, 1.0], atol=1e-15)
+
+
+def _series_boundary(a, eta, u_min, u_max, per_arc=2**17):
+    """Closed boundary polygon of the enclosed region from series_expm alone.
+
+    Returns the polygon (both arcs, 2 * per_arc + 1 vertices), p_plus and
+    p_minus.  A positive trace is handled on (-A, -eta), the same orbit
+    traversed backwards.
+    """
+    a = np.asarray(a, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    if np.trace(a) > 0.0:
+        a, eta = -a, -eta
+    v_min = np.linalg.solve(a, -u_min * eta)
+    v_max = np.linalg.solve(a, -u_max * eta)
+    half = math.pi / math.sqrt(np.linalg.det(a) - 0.25 * np.trace(a) ** 2)
+    m = series_expm(a, half)
+    m2 = m @ m
+    # p_plus is fixed by the u_min half turn followed by the u_max half turn.
+    p_plus = np.linalg.solve(
+        np.eye(2) - m2, v_max + m @ (v_min - v_max) - m2 @ v_min
+    )
+    p_minus = v_min + m @ (p_plus - v_min)
+    # exp(k h A) for k = 512 i + j, from two short tables of powers.
+    step = series_expm(a, half / per_arc)
+    low = [np.eye(2)]
+    for _ in range(511):
+        low.append(low[-1] @ step)
+    big = low[-1] @ step
+    high = [np.eye(2)]
+    for _ in range(per_arc // 512):
+        high.append(high[-1] @ big)
+    powers = np.einsum("iab,jbc->ijac", np.array(high), np.array(low))
+    powers = powers.reshape(-1, 2, 2)[: per_arc + 1]
+    arc_minus = v_min + powers @ (p_plus - v_min)
+    arc_plus = v_max + powers @ (p_minus - v_max)
+    return np.vstack([arc_minus, arc_plus[1:]]), p_plus, p_minus
+
+
+def _even_odd(points, poly):
+    """Even-odd rule on a closed polygon: inside when a ray towards +x crosses
+    an odd number of edges (each edge spans the half-open y interval)."""
+    a, b = poly[:-1], poly[1:]
+    lo = np.minimum(a[:, 1], b[:, 1])
+    hi = np.maximum(a[:, 1], b[:, 1])
+    order = np.argsort(points[:, 1])
+    ys = points[order, 1]
+    first = np.searchsorted(ys, lo)
+    count = np.searchsorted(ys, hi) - first
+    edge = np.repeat(np.arange(len(a)), count)
+    rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    q = order[first[edge] + rank]
+    ea, eb, p = a[edge], b[edge], points[q]
+    x_cross = ea[:, 0] + (p[:, 1] - ea[:, 1]) * (eb[:, 0] - ea[:, 0]) / (
+        eb[:, 1] - ea[:, 1]
+    )
+    hits = np.bincount(q[x_cross > p[:, 0]], minlength=len(points))
+    return hits % 2 == 1
+
+
+def _brute_distance(p, poly):
+    d = poly[1:] - poly[:-1]
+    t = np.clip(np.sum((p - poly[:-1]) * d, axis=1) / np.sum(d * d, axis=1), 0, 1)
+    return float(np.min(np.linalg.norm(p - poly[:-1] - t[:, None] * d, axis=1)))
+
+
+@pytest.mark.parametrize(
+    "ratio, clockwise, skewed",
+    [
+        (-0.05, False, True),
+        (-3.0, False, True),
+        (-0.3, True, False),
+        (-0.3, True, True),
+        (0.3, False, True),
+        (0.05, True, True),
+        (3.0, True, False),
+    ],
+)
+def test_exact_membership_regimes(ratio, clockwise, skewed):
+    # eig_real/eig_imag = ratio (its sign is the trace sign).
+    ei = 1.3
+    spin = -1.0 if clockwise else 1.0
+    drift = np.array([[ratio * ei, -spin * ei], [spin * ei, ratio * ei]])
+    basis = np.array([[1.2, 0.45], [-0.3, 0.8]]) if skewed else np.eye(2)
+    a = basis @ drift @ np.linalg.inv(basis)
+    sys = LinearControlSystem(a, [0.7, -0.4], -0.8, 1.1)
+    region = build_orbit_region(sys)
+    poly, p_plus, p_minus = _series_boundary(a, sys.eta, sys.u_min, sys.u_max)
+    size = float(np.linalg.norm(p_plus - p_minus))
+    np.testing.assert_allclose(region.p_plus, p_plus, rtol=0, atol=1e-9 * size)
+    np.testing.assert_allclose(region.p_minus, p_minus, rtol=0, atol=1e-9 * size)
+
+    def verdict(v):
+        return region.contains(v).verdict
+
+    # The open chord is interior, between the equilibria and beyond them.
+    work = region.work_system
+    v_min, v_max = equilibrium(work, work.u_min), equilibrium(work, work.u_max)
+    for lo, hi in ((v_min, v_max), (p_minus, v_min), (v_max, p_plus)):
+        for s in (0.0, 0.25, 0.5, 0.75, 1.0) if lo is v_min else (0.25, 0.5, 0.75):
+            assert verdict(lo + s * (hi - lo)) is Membership.INTERIOR
+    # Just past the corners on the same line is exterior.
+    chord = p_plus - p_minus
+    assert verdict(p_plus + 1e-3 * chord) is Membership.EXTERIOR
+    assert verdict(p_minus - 1e-3 * chord) is Membership.EXTERIOR
+    # The arc endpoints, and samples of either arc, are on the boundary.
+    assert verdict(region.p_plus) is Membership.BOUNDARY
+    assert verdict(region.p_minus) is Membership.BOUNDARY
+    for v in poly[:: len(poly) // 16]:
+        assert verdict(v) is Membership.BOUNDARY
+
+    # Verdicts agree with the even-odd rule away from a 1e-9 * size band:
+    # random points, and boundary samples pushed 1e-8 * size along the
+    # outward normal (the region is convex and v_min is interior).
+    rng = np.random.default_rng(73)
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    pad = 0.2 * (hi - lo)
+    pts = [rng.uniform(lo - pad, hi + pad, (2000, 2))]
+    idx = rng.integers(1, len(poly) - 1, 200)
+    tangent = poly[idx + 1] - poly[idx - 1]
+    normal = np.stack([-tangent[:, 1], tangent[:, 0]], axis=1)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    normal *= np.sign(np.sum(normal * (poly[idx] - v_min), axis=1))[:, None]
+    for side in (1.0, -1.0):
+        pts.append(poly[idx] + side * 1e-8 * size * normal)
+    pts = np.vstack(pts)
+    inside = _even_odd(pts, poly)
+    assert inside[2000:2200].sum() == 0 and inside[2200:].all()
+    disagree = pts[(region.margins_many(pts) > 0.0) != inside]
+    assert all(_brute_distance(p, poly) <= 1e-9 * size for p in disagree)
+
+
+def _segment_loop_distance(p, poly):
+    best = math.inf
+    for a, b in zip(poly[:-1], poly[1:]):
+        d = b - a
+        len2 = float(d @ d)
+        t = 0.0 if len2 == 0.0 else min(1.0, max(0.0, float((p - a) @ d) / len2))
+        best = min(best, math.hypot(*(p - a - t * d)))
+    return best
+
+
+@pytest.mark.parametrize("segments", [3, 2048])
+def test_polyline_distance_matches_segment_loop(segments):
+    rng = np.random.default_rng(67 + segments)
+    poly = np.cumsum(rng.normal(0.0, 1.0, (segments + 1, 2)), axis=0)
+    poly[2] = poly[1]  # a zero-length segment
+    # Enough queries to span several of the kernel's 16,384-pair chunks
+    # (and, with 3 segments, more than 1,024 points).
+    n = 2 * (16384 // segments) + 3
+    pts = rng.uniform(poly.min(axis=0) - 1.0, poly.max(axis=0) + 1.0, (n, 2))
+    pts[0] = poly[1]  # on the vertex of the zero-length segment
+    pts[-1] = poly[0]  # on the first vertex
+    d = polyline_distance(pts, poly)
+    want = [_segment_loop_distance(p, poly) for p in pts]
+    np.testing.assert_allclose(d, want, rtol=0.0, atol=1e-14 * np.abs(poly).max())
+    assert d[0] == 0.0 and d[-1] == 0.0

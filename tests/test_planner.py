@@ -14,7 +14,7 @@ from planarcontrol.errors import (
 )
 from planarcontrol.geometry import build_orbit_region
 from planarcontrol.planner import hop_plan, loop_plan, reach_plan, spiral_crossing
-from planarcontrol.system import equilibrium, flow, simulate
+from planarcontrol.system import LinearControlSystem, equilibrium, flow, simulate
 
 from conftest import random_system, random_trace_zero_system
 
@@ -234,6 +234,28 @@ def test_spiral_crossing_reports_no_crossing(s0):
     # Half a half period is too short a window for the two spirals to meet.
     with pytest.raises(NoIntersectionFound, match="residual n/a"):
         spiral_crossing(s0, [0.3, 0.2], 1.0, window_halfperiods=0.5)
+
+
+def test_spiral_crossing_default_window_follows_slow_contraction():
+    # eig_real/eig_imag = -0.03 in a skewed clockwise basis.  The backward
+    # u-spiral needs more than 8 half periods (the old fixed window) to reach
+    # these interior points; the default window grows with 1/|ratio|.
+    drift = np.array([[-0.03, 1.0], [-1.0, -0.03]])
+    basis = np.array([[1.2, 0.3], [-0.2, 0.9]])
+    sys = LinearControlSystem(
+        basis @ drift @ np.linalg.inv(basis), [0.6, -0.8], -1.0, 0.5
+    )
+    region = build_orbit_region(sys, samples_per_arc=128)
+    rng = np.random.default_rng(71)
+    e_min = equilibrium(sys, sys.u_min)
+    for _ in range(6):
+        v = _interior_point(rng, region)
+        u = rng.uniform(sys.u_min, sys.u_max)
+        with pytest.raises(NoIntersectionFound):
+            spiral_crossing(sys, v, u, window_halfperiods=8.0)
+        s_at, t_at = spiral_crossing(sys, v, u)
+        gap = flow(sys, s_at, v, sys.u_min) - flow(sys, -t_at, e_min, u)
+        assert np.linalg.norm(gap) < 1e-9 * (1.0 + region.scale)
 
 
 def _interior_point(rng, region, shrink=0.8):
