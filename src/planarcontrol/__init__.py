@@ -25,6 +25,7 @@ from .errors import (
 )
 from .planar import (
     CanonicalForm,
+    UnitFrame,
     canonicalize,
     discriminant,
     line_coordinate,
@@ -54,10 +55,8 @@ from .geometry import (
 from .controlset import (
     BoundaryOrbit,
     Classification,
-    ControlSetInfo,
     SweepPoint,
     classify,
-    control_sets,
     half_turn_fixed_points,
     half_turn_iterates,
     periodic_orbit,

@@ -78,15 +78,37 @@ class SystemConfig:
     sweep_grid: list | None = None
 
 
+def _has_bool(value) -> bool:
+    if isinstance(value, list):
+        return any(_has_bool(x) for x in value)
+    return isinstance(value, bool)
+
+
+def _floats(value, key: str) -> np.ndarray:
+    """``value`` as a float array; JSON booleans are not numbers here."""
+    if _has_bool(value):
+        raise ValidationError(f"field '{key}' must hold numbers, not booleans")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"field '{key}' must hold numbers") from exc
+
+
+def _scalar(value, key: str, integral: bool = False) -> float:
+    """One number; with ``integral``, one with an integer value."""
+    x = _floats(value, key)
+    if x.ndim != 0 or (integral and not float(x).is_integer()):
+        kind = "an integer" if integral else "a number"
+        raise ValidationError(f"field '{key}' must be {kind}")
+    return float(x)
+
+
 def _vector(doc, key, required=False):
     if key not in doc:
         if required:
             raise ValidationError(f"missing required field '{key}'")
         return None
-    try:
-        v = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"field '{key}' must be a pair of numbers") from exc
+    v = _floats(doc[key], key)
     if v.shape != (2,) or not np.all(np.isfinite(v)):
         raise ValidationError(f"field '{key}' must be a pair of finite numbers")
     return v
@@ -113,10 +135,7 @@ def parse_config(text: str) -> SystemConfig:
     raw_a = doc.get("a", doc.get("A"))
     if raw_a is None:
         raise ValidationError("missing required field 'a'")
-    try:
-        a = np.asarray(raw_a, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("field 'a' must be a 2x2 matrix of numbers") from exc
+    a = _floats(raw_a, "a")
     if a.shape != (2, 2) or not np.all(np.isfinite(a)):
         raise ValidationError("field 'a' must be a 2x2 matrix of finite numbers")
     eta = _vector(doc, "eta", required=True)
@@ -129,28 +148,23 @@ def parse_config(text: str) -> SystemConfig:
     grid = doc.get("grid", {})
     if not isinstance(grid, dict):
         raise ValidationError("field 'grid' must be an object")
-    for where, key, cast in (
-        (doc, "samples", int),
-        (doc, "epsilon", float),
-        (doc, "seed", int),
-        (doc, "u0", float),
-        (grid, "dx", float),
-        (grid, "dt", float),
-        (grid, "horizon", float),
+    for where, key, integral in (
+        (doc, "samples", True),
+        (doc, "epsilon", False),
+        (doc, "seed", True),
+        (doc, "u0", False),
+        (grid, "dx", False),
+        (grid, "dt", False),
+        (grid, "horizon", False),
     ):
         if key in where:
-            try:
-                setattr(cfg, key, cast(where[key]))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"field '{key}' must be a number") from exc
+            value = _scalar(where[key], key, integral)
+            setattr(cfg, key, int(value) if integral else value)
     if cfg.u0 is not None and not math.isfinite(cfg.u0):
         raise ValidationError("field 'u0' must be finite")
     _check_ranges(cfg)
     if "bounds" in grid:
-        try:
-            b = np.asarray(grid["bounds"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("grid.bounds must be numbers") from exc
+        b = _floats(grid["bounds"], "grid.bounds")
         if b.shape != (4,):
             raise ValidationError("grid.bounds must be [xmin, xmax, ymin, ymax]")
         cfg.bounds = tuple(float(x) for x in b)
@@ -162,12 +176,13 @@ def parse_config(text: str) -> SystemConfig:
         if not isinstance(sweep, dict) or "nu" not in sweep or "grid" not in sweep:
             raise ValidationError("field 'sweep' must carry 'nu' and 'grid'")
         try:
-            cfg.sweep_nu = float(sweep["nu"])
-            cfg.sweep_grid = [(float(p[0]), float(p[1])) for p in sweep["grid"]]
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ValidationError(
-                "sweep needs a number 'nu' and a list of [alpha, rho]"
-            ) from exc
+            pairs = [(p[0], p[1]) for p in sweep["grid"]]
+        except (TypeError, IndexError, KeyError) as exc:
+            raise ValidationError("sweep.grid must be a list of [alpha, rho]") from exc
+        cfg.sweep_nu = _scalar(sweep["nu"], "sweep.nu")
+        cfg.sweep_grid = [
+            (_scalar(a, "sweep.grid"), _scalar(b, "sweep.grid")) for a, b in pairs
+        ]
     return cfg
 
 

@@ -19,11 +19,9 @@ from .system import LinearControlSystem, flow_many
 __all__ = [
     "BoundaryOrbit",
     "Classification",
-    "ControlSetInfo",
     "SweepPoint",
     "TRACE_ZERO_BAND",
     "classify",
-    "control_sets",
     "half_turn_fixed_points",
     "half_turn_iterates",
     "is_trace_zero",
@@ -179,48 +177,6 @@ def periodic_orbit(sys: LinearControlSystem, samples_per_arc: int = 256) -> Boun
     arc_minus = flow_many(sys, s, p_plus, sys.u_min)
     arc_plus = flow_many(sys, s, p_minus, sys.u_max)
     return BoundaryOrbit(p_plus, p_minus, half, arc_minus, arc_plus)
-
-
-@dataclass(frozen=True)
-class ControlSetInfo:
-    """Descriptor of one control set.
-
-    ``kind`` is one of "whole_plane", "closed_region", "open_region",
-    "periodic_orbit".  ``region`` (when present) is the enclosed region object
-    from :mod:`planarcontrol.geometry`; ``boundary`` is its closed polyline.
-    """
-
-    kind: str
-    closed: bool
-    region: object | None = None
-    boundary: np.ndarray | None = None
-
-
-def control_sets(sys: LinearControlSystem) -> list[ControlSetInfo]:
-    """All control sets with their descriptors, in the documented order.
-
-    Zero trace: the whole plane.  Negative trace: the closed enclosed region.
-    Positive trace: the open interior and the boundary orbit, in that order.
-    """
-    from .geometry import build_orbit_region  # deferred: geometry imports us
-
-    kind = classify(sys)
-    if kind is Classification.CONTROLLABLE_TRACE_ZERO:
-        return [ControlSetInfo(kind="whole_plane", closed=True)]
-    region = build_orbit_region(sys)
-    boundary = region.boundary
-    if kind is Classification.CLOSED_CONTROL_SET:
-        return [
-            ControlSetInfo(
-                kind="closed_region", closed=True, region=region, boundary=boundary
-            )
-        ]
-    return [
-        ControlSetInfo(
-            kind="open_region", closed=False, region=region, boundary=boundary
-        ),
-        ControlSetInfo(kind="periodic_orbit", closed=True, boundary=boundary),
-    ]
 
 
 @dataclass(frozen=True)

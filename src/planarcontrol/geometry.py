@@ -1,23 +1,24 @@
 """Spiral-bounded regions, membership tests, and the invariance margin function.
 
 A spiral region is bounded by the chord line through its centre c and the
-half-turn arc from its other point.  In the canonical frame the arc is a
-logarithmic spiral: at polar angle phi in [0, pi], counted from delta (the
-vector from c to the arc start), it lies |delta| e^{ratio phi} from c, with
-ratio = eig_real/eig_imag.  Membership is therefore closed-form, in the
-canonical frame (exact also for clockwise systems and skewed bases): a point
-z on the arc's side of the chord line has
+half-turn arc from its other point.  Membership is read in the region's
+complex frame w = (z - c)/delta of canonical points z (``CanonicalForm.frame``;
+delta runs from c to the arc start): the chord line is the real axis, and the
+arc, a logarithmic spiral, is e^{(k + i) phi} for phi in [0, pi] with
+k = eig_real/eig_imag, also for clockwise systems and skewed bases.  A point
+with Im w >= 0 has the closed-form arc margin
 
-    margin = (|delta| e^{ratio phi} - |z - c|) * eig_imag / |lam|,
+    margin = |delta| (e^{k phi} - |w|) * eig_imag / |lam|,   phi = arg w,
 
 zero on the arc, positive inside, negative outside.  A log spiral meets every
 ray from its centre at the constant angle arg lam, so the margin equals the
 canonical-frame distance to the arc to first order.
 
-The region enclosed by the periodic orbit is the union of two half regions
-on opposite sides of their shared chord line (through p_minus, v(u_min),
-v(u_max) and p_plus).  Membership picks the half by one side test against
-that line, so points on the open chord come out interior.
+The region enclosed by the periodic orbit is symmetric under the reflection
+v -> v(u_min) + v(u_max) - v, which swaps its two half regions across their
+shared chord line (through p_minus, v(u_min), v(u_max) and p_plus).  So only
+the half about v(u_min) is kept: a point below its chord line is reflected
+first, and points on the open chord come out interior.
 """
 
 import math
@@ -27,13 +28,19 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    DegenerateSpiral,
     OutOfDomain,
     PreconditionViolated,
     TraceZero,
     ZeroVector,
 )
-from .planar import QUARTER_TURN, CanonicalForm, as_vector, line_coordinate, spiral_arc
+from .planar import (
+    QUARTER_TURN,
+    CanonicalForm,
+    UnitFrame,
+    as_vector,
+    line_coordinate,
+    spiral_arc,
+)
 from .system import LinearControlSystem, equilibrium
 from .controlset import BoundaryOrbit, is_trace_zero, periodic_orbit
 
@@ -108,14 +115,14 @@ class SpiralRegion:
 
     The arc runs half a turn about the centre v2 from v1 (see the module
     docstring); the region is the part of the arc's side of the chord line
-    within the arc's radius at each polar angle.
+    within the arc's radius at each polar angle.  ``frame`` puts v2 at 0 and
+    v1 at 1; ``scale`` is the canonical distance between them.
     """
 
     v1: np.ndarray
     v2: np.ndarray
     canonical: CanonicalForm
-    _centre: np.ndarray = field(init=False, repr=False)
-    _delta: np.ndarray = field(init=False, repr=False)
+    frame: UnitFrame = field(init=False, repr=False)
     scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -123,38 +130,24 @@ class SpiralRegion:
         v2 = as_vector(self.v2)
         object.__setattr__(self, "v1", v1)
         object.__setattr__(self, "v2", v2)
-        cf = self.canonical
-        z2 = cf.to_canonical(v2)
-        delta = cf.to_canonical(v1) - z2
-        norm = math.hypot(delta[0], delta[1])
-        if norm == 0.0:
-            raise DegenerateSpiral("region endpoints coincide")
-        object.__setattr__(self, "_centre", z2)
-        object.__setattr__(self, "_delta", delta)
-        object.__setattr__(self, "scale", norm)
+        frame = self.canonical.frame(v2, v1)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "scale", frame.length)
 
-    def _chord_margins(self, z: np.ndarray) -> np.ndarray:
-        """Signed distance of canonical points (n, 2) to the chord line,
-        positive on the arc's side."""
-        (dx, dy), (cx, cy) = self._delta, self._centre
-        return (dx * (z[:, 1] - cy) - dy * (z[:, 0] - cx)) / self.scale
-
-    def _arc_margins(self, z: np.ndarray) -> np.ndarray:
-        """Polar arc margin of canonical points (n, 2), chord side ignored."""
-        cf = self.canonical
-        (dx, dy), (cx, cy) = self._delta, self._centre
-        rx, ry = z[:, 0] - cx, z[:, 1] - cy
-        phi = np.arctan2(dx * ry - dy * rx, dx * rx + dy * ry)
+    def _arc_margins(self, w: np.ndarray) -> np.ndarray:
+        """Polar arc margin of frame coordinates w (complex, (n,)), chord
+        side ignored."""
+        phi = np.angle(w)
         # Fold onto [0, pi]: a point on the chord line can round to a
         # negative angle, -0.0 beside the arc start or -pi beside its end.
         phi = np.where(phi < -0.5 * math.pi, math.pi, np.maximum(phi, 0.0))
-        bound = self.scale * np.exp((cf.eig_real / cf.eig_imag) * phi)
-        return (bound - np.hypot(rx, ry)) * (cf.eig_imag / abs(cf.lam))
+        k = self.frame.k
+        return (self.scale / math.hypot(1.0, k)) * (np.exp(k * phi) - np.abs(w))
 
     def margins(self, points) -> np.ndarray:
         """Full region margin (chord and arc constraints) per point (n,)."""
-        z = np.atleast_2d(self.canonical.to_canonical(points))
-        return np.minimum(self._arc_margins(z), self._chord_margins(z))
+        w = np.atleast_1d(self.frame.to_unit(points))
+        return np.minimum(self._arc_margins(w), self.scale * w.imag)
 
 
 def region_contains(region: SpiralRegion, v, tol: float | None = None) -> MembershipVerdict:
@@ -287,29 +280,24 @@ def check_region_invariance(
     cf = region.canonical
     if cf.eig_real >= 0.0:
         raise PreconditionViolated("invariance requires eig_real < 0")
-    w1 = as_vector(w1)
-    w2 = as_vector(w2)
-    chord = region._delta
-    zw1 = cf.to_canonical(w1)
-    zw2 = cf.to_canonical(w2)
-    rel = zw2 - region._centre
-    coord = float(rel @ chord) / float(chord @ chord)
-    off = rel - coord * chord
-    if math.hypot(off[0], off[1]) > 1e-9 * (1.0 + region.scale):
+    # Frame coordinates: the chord segment is [0, 1] and lengths are in
+    # units of region.scale.
+    a = region.frame.to_unit(as_vector(w1))
+    b = region.frame.to_unit(as_vector(w2))
+    if abs(b.imag) * region.scale > 1e-9 * (1.0 + region.scale):
         raise PreconditionViolated("w2 must lie on the chord segment")
-    if not -1e-9 <= coord <= 1.0 + 1e-9:
+    if not -1e-9 <= b.real <= 1.0 + 1e-9:
         raise PreconditionViolated("w2 must lie between v1 and v2")
-    diff = zw1 - zw2
-    if math.hypot(diff[0], diff[1]) < 1e-12 * region.scale:
+    diff = a - b
+    if abs(diff) < 1e-12:
         raise PreconditionViolated("w1 - w2 is numerically zero")
     start = float(region.margins(w1)[0])
     if start < -1e-6 * region.scale:
         raise PreconditionViolated("w1 must lie in the region")
-    sigma = angle_between(chord, diff)
+    sigma = abs(math.atan2(diff.imag, diff.real))
     s = np.linspace(0.0, (math.pi - sigma) / cf.eig_imag, s_samples)
-    pts_c = spiral_arc(cf.lam, s, diff, diff @ QUARTER_TURN.T) + zw2
-    pts = cf.from_canonical(pts_c)
-    margins = region.margins(pts)
+    moving = b + spiral_arc(cf.lam, s, diff, 1j * diff).ravel()
+    margins = region.margins(region.frame.from_unit(moving))
     worst = int(np.argmin(margins))
     return InvarianceReport(
         worst_margin=float(margins[worst]),
@@ -335,7 +323,6 @@ class OrbitRegion:
     work_system: LinearControlSystem
     orbit: BoundaryOrbit
     half_plus: SpiralRegion
-    half_minus: SpiralRegion
     boundary: np.ndarray
     time_reversed: bool
     scale: float
@@ -349,14 +336,16 @@ class OrbitRegion:
         return self.orbit.p_minus
 
     def margins_many(self, points) -> np.ndarray:
-        """Exact margin per point: the arc margin of the half on its side of
-        the shared chord line."""
-        z = np.atleast_2d(self.work_system.canonical.to_canonical(points))
-        plus = self.half_plus._chord_margins(z) >= 0.0
-        out = np.empty(len(z))
-        out[plus] = self.half_plus._arc_margins(z[plus])
-        out[~plus] = self.half_minus._arc_margins(z[~plus])
-        return out
+        """Exact margin per point: the arc margin of ``half_plus``, after
+        reflecting points below its chord line through the midpoint of the
+        equilibria."""
+        half = self.half_plus
+        w = np.atleast_1d(half.frame.to_unit(points))
+        # In half_plus's frame v(u_min) is 0, v(u_max) is 1 - q and p_plus
+        # is 1 (q = e^{pi k}), so the reflection through the midpoint of the
+        # equilibria is w -> 1 - q - w.
+        mirror = 1.0 - math.exp(math.pi * half.frame.k)
+        return half._arc_margins(np.where(w.imag < 0.0, mirror - w, w))
 
     def margin(self, v) -> float:
         return float(self.margins_many(as_vector(v))[0])
@@ -392,18 +381,15 @@ def build_orbit_region(sys: LinearControlSystem, samples_per_arc: int = 1024) ->
     work = sys.time_reversed() if reversed_ else sys
     orbit = periodic_orbit(work, samples_per_arc)
     v_min = equilibrium(work, work.u_min)
-    v_max = equilibrium(work, work.u_max)
     half_plus = SpiralRegion(orbit.p_plus, v_min, work.canonical)
-    half_minus = SpiralRegion(orbit.p_minus, v_max, work.canonical)
-    zp = work.canonical.to_canonical(orbit.p_plus)
-    zm = work.canonical.to_canonical(orbit.p_minus)
-    scale = math.hypot(zp[0] - zm[0], zp[1] - zm[1])
+    unit = work.unit
+    span = unit.to_unit(orbit.p_plus) - unit.to_unit(orbit.p_minus)
+    scale = unit.length * abs(span)
     return OrbitRegion(
         system=sys,
         work_system=work,
         orbit=orbit,
         half_plus=half_plus,
-        half_minus=half_minus,
         boundary=orbit.polyline(),
         time_reversed=reversed_,
         scale=scale,

@@ -1,4 +1,4 @@
-"""Canonical forms and exact exponentials for 2x2 matrices with complex spectrum.
+"""Canonical forms, the complex unit frame and exact exponentials for 2x2 matrices.
 
 A real 2x2 matrix whose discriminant (tr A)^2 - 4 det A is negative has
 eigenvalues ``a ± ib`` with ``b > 0``.  Such a matrix is similar to the
@@ -6,6 +6,14 @@ rotation-scaling matrix ``[[a, -b], [b, a]]``; in the adapted coordinates its
 flow is a genuine logarithmic spiral, which is what the rest of the package
 builds on.  This module constructs that change of basis deterministically and
 holds the one closed-form evaluation of ``exp(tA)``, :func:`spiral_arc`.
+
+Read as a complex number, a canonical point moves under the drift by
+multiplication with lam = a + ib, which commutes with complex-affine maps.
+So in every frame w = (z - origin)/unit (:class:`UnitFrame`) the flow about
+an equilibrium c is w -> c + e^{lam s}(w - c).  A system's unit frame puts
+v(u_min) at -1 and v(u_max) at +1; there the equilibrium of u is the real
+(2u - u_min - u_max)/(u_max - u_min) and the half-turn fixed points are
+±(1 + q)/(1 - q), q = e^{pi a/b}.
 
 Vectors are numpy arrays of shape (2,), matrices of shape (2, 2); both are
 referred to as ``Vec2`` / ``Mat2`` in docstrings.
@@ -17,11 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotComplexSpectrum, OffLine, ZeroVector
+from .errors import DegenerateSpiral, NotComplexSpectrum, OffLine, ZeroVector
 
 __all__ = [
     "CanonicalForm",
     "QUARTER_TURN",
+    "UnitFrame",
     "as_matrix",
     "as_vector",
     "canonicalize",
@@ -118,12 +127,66 @@ class CanonicalForm:
         )
 
     def to_canonical(self, points: np.ndarray) -> np.ndarray:
-        """Map points (2,) or (n, 2) from original to canonical coordinates."""
-        return np.asarray(points, dtype=float) @ self.basis_inv.T
+        """Map points (..., 2) from original to canonical coordinates."""
+        return _apply(self.basis_inv, points)
 
     def from_canonical(self, points: np.ndarray) -> np.ndarray:
-        """Map points (2,) or (n, 2) from canonical to original coordinates."""
-        return np.asarray(points, dtype=float) @ self.basis.T
+        """Map points (..., 2) from canonical to original coordinates."""
+        return _apply(self.basis, points)
+
+    def frame(self, centre, one) -> "UnitFrame":
+        """The frame of canonical points putting ``centre`` at 0 and ``one``
+        at 1 (original coordinates); DegenerateSpiral if they coincide."""
+        (a, b), (c, d) = self.basis_inv
+        ex, ey = complex(a, c), complex(b, d)  # canonical images of the axes
+        x0, y0 = float(centre[0]), float(centre[1])
+        origin = ex * x0 + ey * y0
+        unit = ex * (float(one[0]) - x0) + ey * (float(one[1]) - y0)
+        if unit == 0.0:
+            raise DegenerateSpiral("frame points coincide")
+        k = float(self.eig_real / self.eig_imag)
+        return UnitFrame(ex / unit, ey / unit, -origin / unit, k, abs(unit))
+
+
+def _apply(m: np.ndarray, points) -> np.ndarray:
+    """The linear map m on points (..., 2), as four multiply-adds."""
+    p = np.asarray(points, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    out = np.empty(p.shape)
+    out[..., 0] = m[0, 0] * x + m[0, 1] * y
+    out[..., 1] = m[1, 0] * x + m[1, 1] * y
+    return out
+
+
+@dataclass(frozen=True)
+class UnitFrame:
+    """Complex coordinate ``w = (z - origin)/unit`` of canonical points z.
+
+    On original coordinates it is the real-affine map
+    ``w = alpha x + beta y + gamma``; ``gamma`` is the image of the original
+    origin.  ``k`` is eig_real/eig_imag and ``length`` is |unit|, so a
+    canonical distance is ``length`` times the distance of the images.
+    """
+
+    alpha: complex
+    beta: complex
+    gamma: complex
+    k: float
+    length: float
+
+    def to_unit(self, points):
+        """Images of points (..., 2); one point (2,) gives a Python complex."""
+        p = np.asarray(points, dtype=float)
+        w = self.alpha * p[..., 0] + self.beta * p[..., 1] + self.gamma
+        return complex(w) if p.ndim == 1 else w
+
+    def from_unit(self, w) -> np.ndarray:
+        """Original coordinates (..., 2) of complex frame coordinates w."""
+        d = np.asarray(w, dtype=complex) - self.gamma
+        det = (self.alpha * self.beta.conjugate()).imag
+        x = (d * self.beta.conjugate()).imag / det
+        y = -(d * self.alpha.conjugate()).imag / det
+        return np.stack([x, y], axis=-1)
 
 
 def canonicalize(a, tol: float = 1e-12) -> CanonicalForm:

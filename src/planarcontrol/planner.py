@@ -12,11 +12,15 @@ u_min equilibrium by alternating extreme half turns whose iterates converge
 geometrically to the orbit corners; splicing in the backward exit arc of the
 target yields an endpoint within any requested epsilon.
 
-All constructions run in the canonical frame and emit exact-arc schedules, and
-every plan is certified by exact segment endpoints: the schedule is run from
-its start with closed-form flows, at machine precision.
+All constructions run in the system's unit frame (``LinearControlSystem.unit``:
+canonical points as complex numbers, v(u_min) at -1 and v(u_max) at +1, the
+flow about c being w -> c + e^{lam s}(w - c)) and emit exact-arc schedules;
+tolerances stay canonical-frame lengths.  Every plan is certified by exact
+segment endpoints: the schedule is run from its start with closed-form flows,
+at machine precision.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -78,44 +82,6 @@ def _certified(sys, start, goal, schedule, time_reversed=False) -> PlanResult:
     )
 
 
-def _ccw_angle(a, b) -> float:
-    """Counter-clockwise angle in [0, 2*pi) rotating vector a onto vector b."""
-    ang = math.atan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1])
-    return ang if ang >= 0.0 else ang + 2.0 * math.pi
-
-
-class _LineFrame:
-    """Canonical-frame coordinates along the equilibrium line."""
-
-    def __init__(self, sys: LinearControlSystem):
-        cf = sys.canonical
-        self.cf = cf
-        e_min = cf.to_canonical(-sys.u_min * sys.inv_a_eta)
-        e_max = cf.to_canonical(-sys.u_max * sys.inv_a_eta)
-        span = e_max - e_min
-        self.per_u = span / (sys.u_max - sys.u_min)
-        self.k = float(np.linalg.norm(self.per_u))
-        self.unit = self.per_u / self.k
-        self.normal = np.array([-self.unit[1], self.unit[0]])
-        self.t_min = float(e_min @ self.unit)
-        self.t_max = float(e_max @ self.unit)
-
-    def coord(self, point_c) -> float:
-        return float(point_c @ self.unit)
-
-    def offset(self, point_c) -> float:
-        return float(point_c @ self.normal)
-
-    def on_line(self, t: float) -> np.ndarray:
-        return t * self.unit
-
-    def t_of_control(self, u: float, sys: LinearControlSystem) -> float:
-        return self.t_min + (u - sys.u_min) * self.k
-
-    def control_of_t(self, t: float, sys: LinearControlSystem) -> float:
-        return sys.u_min + (t - self.t_min) / self.k
-
-
 def hop_plan(sys: LinearControlSystem, start, u_goal: float, tol: float = 1e-9) -> PlanResult:
     """Drive a zero-trace system from ``start`` onto the equilibrium of ``u_goal``.
 
@@ -138,35 +104,45 @@ def hop_plan(sys: LinearControlSystem, start, u_goal: float, tol: float = 1e-9) 
     if not sys.control_in_range(u_goal):
         raise InvalidControl(f"goal control {u_goal} outside range")
     start = as_vector(start)
-    cf = sys.canonical
-    frame = _LineFrame(sys)
-    ei = cf.eig_imag
-    half = math.pi / ei
-    goal_point = equilibrium(sys, u_goal)
-    x0 = cf.to_canonical(start)
-    t_goal = frame.t_of_control(u_goal, sys)
-    stride = frame.t_max - frame.t_min
-    scale = max(1.0, abs(frame.coord(x0)), abs(frame.t_min), abs(frame.t_max))
-    line_tol = tol * scale
+    # In the unit frame the equilibrium line is the real axis, the extreme
+    # equilibria are -1 and +1 and a reflection marches by the stride 2.
+    unit = sys.unit
+    width = sys.u_max - sys.u_min
 
-    if np.linalg.norm(x0 - cf.to_canonical(goal_point)) <= 1e-12 * scale:
+    def center_of(u: float) -> float:
+        return (2.0 * u - sys.u_min - sys.u_max) / width
+
+    half = sys.half_period
+    goal_point = equilibrium(sys, u_goal)
+    x0 = unit.to_unit(start)
+    t_goal = center_of(u_goal)
+    # Tolerances are canonical-frame lengths: unit.length times unit-frame
+    # lengths, line coordinates counted from the canonical origin (gamma).
+    origin = unit.gamma.real
+    scale = max(1.0, unit.length * max(abs(x0.real - origin), 1.0 + abs(origin)))
+    line_tol = tol * scale / unit.length
+    point_tol = 1e-12 * scale / unit.length
+
+    if abs(x0 - t_goal) <= point_tol:
         return _certified(sys, start, goal_point, ())
 
-    window = (2.0 * frame.t_min - t_goal, 2.0 * frame.t_max - t_goal)
+    window = (-2.0 - t_goal, 2.0 - t_goal)
 
-    def march_count(t_land: float) -> int:
-        count = 0
-        cap = int(math.ceil((abs(t_land - t_goal) + stride) / stride)) + 4
-        t = t_land
+    def march(t: float) -> tuple[list, float]:
+        """Half turns about -1 or +1 that bring line point t into the window."""
+        hops = []
+        cap = int(math.ceil((abs(t - t_goal) + 2.0) / 2.0)) + 4
         while not window[0] - line_tol <= t <= window[1] + line_tol:
-            t = 2.0 * (frame.t_max if t > window[1] else frame.t_min) - t
-            count += 1
-            if count > cap:  # pragma: no cover - march provably terminates
-                raise RuntimeError("hop march count failed to terminate")
-        return count
+            u_c, center = (sys.u_max, 1.0) if t > window[1] else (sys.u_min, -1.0)
+            t = 2.0 * center - t
+            hops.append((u_c, half))
+            if len(hops) > cap:  # pragma: no cover - march provably terminates
+                raise RuntimeError("hop march failed to terminate")
+        return hops, t
 
     schedule = []
-    if abs(frame.offset(x0)) > line_tol:
+    t = x0.real
+    if abs(x0.imag) > line_tol:
         # Off-line start: pick the landing among both circles and both line
         # sides needing the fewest reflections before the window (exact
         # count; the far-side u_min landing alone already meets the
@@ -178,37 +154,22 @@ def hop_plan(sys: LinearControlSystem, start, u_goal: float, tol: float = 1e-9) 
             (sys.u_max, 1.0),
             (sys.u_min, -1.0),
         ):
-            center_t = frame.t_of_control(u_c, sys)
-            center = frame.on_line(center_t)
-            radius = float(np.linalg.norm(x0 - center))
-            t_land = center_t + side * radius
-            marches = march_count(t_land)
+            center = center_of(u_c)
+            t_land = center + side * abs(x0 - center)
+            marches = len(march(t_land)[0])
             if best is None or marches < best[0]:
                 best = (marches, u_c, center, t_land)
-        _, u_c, center, t_land = best
-        ang = _ccw_angle(x0 - center, frame.on_line(t_land) - center)
-        if ang <= 0.0:
+        _, u_c, center, t = best
+        # Counter-clockwise angle in (0, 2 pi] from x0 to the landing.
+        ang = cmath.phase((t - center) / (x0 - center)) % (2.0 * math.pi)
+        if ang == 0.0:
             ang = 2.0 * math.pi
-        schedule.append((u_c, ang / ei))
-        t = t_land
-    else:
-        t = frame.coord(x0)
+        schedule.append((u_c, ang / sys.canonical.eig_imag))
+    hops, t = march(t)
+    schedule += hops
 
-    guard = int(math.ceil((abs(t - t_goal) + stride) / stride)) + 4
-    while not window[0] - line_tol <= t <= window[1] + line_tol:
-        if t > window[1]:
-            u_c, center_t = sys.u_max, frame.t_max
-        else:
-            u_c, center_t = sys.u_min, frame.t_min
-        t = 2.0 * center_t - t
-        schedule.append((u_c, half))
-        guard -= 1
-        if guard < 0:  # pragma: no cover - march provably terminates
-            raise RuntimeError("hop march failed to terminate")
-
-    if abs(t - t_goal) > 1e-12 * scale:
-        mid = 0.5 * (t + t_goal)
-        u_n = frame.control_of_t(mid, sys)
+    if abs(t - t_goal) > point_tol:
+        u_n = sys.u_min + 0.5 * (0.5 * (t + t_goal) + 1.0) * width
         u_n = min(max(u_n, sys.u_min), sys.u_max)
         schedule.append((u_n, half))
     return _certified(sys, start, goal_point, schedule)
@@ -237,46 +198,44 @@ def _wrap_pm_pi(a: float) -> float:
 
 def _crossing_search(
     sys: LinearControlSystem,
-    x_center: np.ndarray,
-    x_base: np.ndarray,
+    x_center: complex,
+    x_base: complex,
     xi: float,
     s_max: float,
-    y_center: np.ndarray,
-    y_base: np.ndarray,
+    y_center: complex,
+    y_base: complex,
     zeta: float,
     t_max: float,
 ):
     """Find (s, t) where two spirals meet, via polar branches around y_center.
 
-    Both curves are canonical-frame spirals: the x-curve runs around
+    Points are complex numbers in a complex frame of the canonical plane
+    (``sys.unit``), so the quarter turn is 1j and a scalar step of the scan
+    costs Python arithmetic rather than array ops.  The x-curve runs around
     ``x_center`` through ``x_base`` with time direction ``xi`` (its point at
-    s is ``x_center + exp(xi s Ac)(x_base - x_center)``), and the y-curve runs
+    s is ``x_center + e^{xi s lam}(x_base - x_center)``), and the y-curve runs
     around ``y_center`` through ``y_base`` with time direction ``zeta``: its
     radius at time t is r0 * exp(zeta * eig_real * t) and its polar angle is
     ang0 + zeta * eig_imag * t.  Matching angles with the x-curve's unwrapped
     polar angle phi(s) gives, per winding number j, a continuous time branch
     t_j(s) and a radial residual whose sign changes are bisected in s.  The
     scan covers s in [0, s_max].  Returns (s, t, residual) of the first
-    crossing in scan order, or None.
-
-    Points are complex numbers x + iy here, so the quarter turn is 1j and a
-    scalar step of the scan costs Python arithmetic rather than array ops.
+    crossing in scan order, or None; the residual is in frame units.
     """
     cf = sys.canonical
     ei, er, lam = cf.eig_imag, cf.eig_real, cf.lam
-    x_c, y_c = complex(*x_center), complex(*y_center)
-    x_rel = complex(*(x_base - x_center))
-    rel = complex(*(y_base - y_center))
-    r0 = float(np.linalg.norm(y_base - y_center))
+    x_rel = x_base - x_center
+    rel = y_base - y_center
+    r0 = abs(rel)
     ang0 = math.atan2(rel.imag, rel.real)
     two_pi = 2.0 * math.pi
 
     def x_of(s):
-        return x_c + spiral_arc(lam, xi * s, x_rel, 1j * x_rel)
+        return x_center + spiral_arc(lam, xi * s, x_rel, 1j * x_rel)
 
     def polar(s):
         # Polar angle and radius of the x-curve about y_center.
-        d = x_of(s) - y_c
+        d = x_of(s) - y_center
         return math.atan2(d.imag, d.real), math.hypot(d.real, d.imag)
 
     def t_of(phi, j):
@@ -330,7 +289,7 @@ def _crossing_search(
             s_root = 0.5 * (lo + hi)
             phi_root = phi_a + _wrap_pm_pi(polar(s_root)[0] - phi_a)
             t_root = min(max(t_of(phi_root, j), 0.0), t_max)
-            y = y_c + spiral_arc(lam, zeta * t_root, rel, 1j * rel)
+            y = y_center + spiral_arc(lam, zeta * t_root, rel, 1j * rel)
             res = abs(x_of(s_root) - y)
             return float(s_root), float(t_root), res
     return None
@@ -367,30 +326,25 @@ def spiral_crossing(
     urange = max(1.0, abs(sys.u_min), abs(sys.u_max))
     if abs(u - sys.u_min) <= 1e-12 * urange:
         raise PreconditionViolated("u must differ from u_min")
-    v = as_vector(v)
-    cf = sys.canonical
-    e_min = equilibrium(sys, sys.u_min)
-    scale = 1.0 + float(np.linalg.norm(cf.to_canonical(v)))
-    if np.linalg.norm(v - e_min) <= 1e-12 * scale:
+    # Unit frame: v(u_min) is -1, tolerances stay canonical-frame lengths.
+    unit = sys.unit
+    v_w = unit.to_unit(as_vector(v))
+    scale = 1.0 + unit.length * abs(v_w - unit.gamma)
+    if abs(v_w + 1.0) * unit.length <= 1e-12 * scale:
         return 0.0, 0.0
-    e_u_c = cf.to_canonical(equilibrium(sys, u))
-    e_min_c = cf.to_canonical(e_min)
-    v_c = cf.to_canonical(v)
+    e_u = (2.0 * u - sys.u_min - sys.u_max) / (sys.u_max - sys.u_min)
     if window_halfperiods is None:
         # The u-spiral is at least r0 (e^{-er t} - 1) from e_min, beyond the
         # whole forward spiral once t > ln(1 + |v - e_min|/r0)/(-er); two
         # more turns leave room to match the polar angles.
-        r0 = float(np.linalg.norm(e_u_c - e_min_c))
-        growth = math.log1p(float(np.linalg.norm(v_c - e_min_c)) / r0)
-        window_halfperiods = growth * cf.eig_imag / (-math.pi * cf.eig_real) + 4.0
+        growth = math.log1p(abs(v_w + 1.0) / abs(e_u + 1.0))
+        window_halfperiods = growth / (-math.pi * unit.k) + 4.0
     half = sys.half_period
     s_max = window_halfperiods * half
     t_max = window_halfperiods * half
-    found = _crossing_search(
-        sys, e_min_c, v_c, 1.0, s_max, e_u_c, e_min_c, zeta=-1.0, t_max=t_max
-    )
-    if found is None or found[2] > tol * scale:
-        residual = "n/a" if found is None else f"{found[2]:.3g}"
+    found = _crossing_search(sys, -1.0, v_w, 1.0, s_max, e_u, -1.0, zeta=-1.0, t_max=t_max)
+    if found is None or found[2] * unit.length > tol * scale:
+        residual = "n/a" if found is None else f"{found[2] * unit.length:.3g}"
         raise NoIntersectionFound(
             f"no spiral crossing within {window_halfperiods:.6g} half-periods "
             f"(residual {residual})"
@@ -448,43 +402,42 @@ def reach_plan(
     if region.contains(target).verdict is not Membership.INTERIOR:
         raise TargetNotInterior("reach target must be interior to the region")
 
-    cf = work.canonical
-    ei, er = cf.eig_imag, cf.eig_real
+    # Unit frame: v(u_min) is -1 and v(u_max) is +1; tolerances stay
+    # canonical-frame lengths (unit.length times unit-frame lengths).
+    unit = work.unit
+    er = work.canonical.eig_real
     half = work.half_period
-    q = math.exp(math.pi * er / ei)
+    q = math.exp(math.pi * unit.k)
     e_min = equilibrium(work, work.u_min)
-    e_min_c = cf.to_canonical(e_min)
-    e_max_c = cf.to_canonical(equilibrium(work, work.u_max))
-    p_minus_c = cf.to_canonical(region.p_minus)
-    start_gap = float(np.linalg.norm(e_min_c - p_minus_c))
+    p_minus = unit.to_unit(region.p_minus)
     scale = max(1.0, region.scale)
+    target_w = unit.to_unit(target)
+    r_target = abs(target_w + 1.0)
 
-    if np.linalg.norm(cf.to_canonical(target) - e_min_c) <= 1e-12 * scale:
+    if r_target * unit.length <= 1e-12 * scale:
         return _certified(work, e_min, target, (), time_reversed)
 
     # (i) exact exit through the u_max arc via the backward u_min flow; the
     # scan stops at s_cap, past the time the flow needs to leave the region.
-    target_c = cf.to_canonical(target)
-    r_target = float(np.linalg.norm(target_c - e_min_c))
-    r_exit = float(np.linalg.norm(p_minus_c - e_min_c)) / max(q, 1e-300)
+    r_exit = abs(p_minus + 1.0) / max(q, 1e-300)
     s_cap = (math.log(max(r_exit / max(r_target, 1e-300), 1.0)) / max(-er, 1e-300)) + 4.0 * half
     found = _crossing_search(
         work,
-        e_min_c,
-        target_c,
+        -1.0,
+        target_w,
         -1.0,
         s_cap,
-        e_max_c,
-        p_minus_c,
+        1.0,
+        p_minus,
         zeta=1.0,
         t_max=half * (1.0 + 1e-12),
     )
-    if found is None or found[2] > 1e-9 * scale:
+    if found is None or found[2] * unit.length > 1e-9 * scale:
         raise NoIntersectionFound("backward exit through the boundary arc not found")
     s0, t_b, _ = found
 
     # (ii)+(iii): choose pair count, assemble, certify.
-    err0 = start_gap
+    err0 = unit.length * abs(p_minus + 1.0)  # canonical |v(u_min) - p_minus|
     if pairs is None:
         want = max(epsilon / 4.0, 1e-13 * scale)
         k = 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidControl
-from .planar import CanonicalForm, as_matrix, as_vector, canonicalize, spiral_arc
+from .planar import CanonicalForm, UnitFrame, as_matrix, as_vector, canonicalize, spiral_arc
 
 __all__ = [
     "ControlRangeWarning",
@@ -37,8 +37,9 @@ class LinearControlSystem:
     """Planar linear control system ``v' = A v + u eta``, u in [u_min, u_max].
 
     The drift must have a complex eigenvalue pair (hence det A > 0 and A is
-    invertible).  Canonical data and A^-1 eta are computed once and cached;
-    instances are immutable and safe to share across threads.
+    invertible).  Canonical data, A^-1 eta and the unit frame (the canonical
+    complex frame with v(u_min) at -1 and v(u_max) at +1) are computed once
+    and cached; instances are immutable and safe to share across threads.
     """
 
     a: np.ndarray
@@ -47,6 +48,7 @@ class LinearControlSystem:
     u_max: float
     canonical: CanonicalForm = field(init=False, repr=False)
     inv_a_eta: np.ndarray = field(init=False, repr=False)
+    unit: UnitFrame = field(init=False, repr=False)
 
     def __post_init__(self):
         a = as_matrix(self.a)
@@ -68,6 +70,8 @@ class LinearControlSystem:
         inv_a_eta.setflags(write=False)
         object.__setattr__(self, "canonical", cf)
         object.__setattr__(self, "inv_a_eta", inv_a_eta)
+        mid = -0.5 * (self.u_min + self.u_max) * inv_a_eta
+        object.__setattr__(self, "unit", cf.frame(mid, -self.u_max * inv_a_eta))
 
     @property
     def trace(self) -> float:

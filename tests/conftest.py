@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from planarcontrol.system import LinearControlSystem
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile(
+    "deterministic", derandomize=True, deadline=None, database=None
+)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

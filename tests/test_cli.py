@@ -43,6 +43,16 @@ def _run(tmp_path, command, doc, *extra):
         ("sweep", {"sweep": {"nu": "x", "grid": [[-1, 1]]}}),
         ("sweep", {"sweep": {"nu": 0.0, "grid": [[0.5, 1.0]]}}),
         ("plan", {"tau_grid": 512}),
+        ("plan", {"samples": 256.9}),
+        ("analyze", {"seed": 2.7}),
+        ("plan", {"epsilon": True}),
+        ("reach", {"grid": {"dx": True}}),
+        ("analyze", {"omega": [False, True]}),
+        ("analyze", {"eta": [True, 0.0]}),
+        ("analyze", {"a": [[-1.0, -1.0], [True, -1.0]]}),
+        ("reach", {"grid": {"bounds": [-1, 1, -1, True]}}),
+        ("sweep", {"sweep": {"nu": 0.0, "grid": [[-1.0, True]]}}),
+        ("sweep", {"sweep": {"nu": 0.0, "grid": [{"alpha": -1.0}]}}),
     ],
 )
 def test_malformed_field_exits_2_without_artifacts(tmp_path, capsys, command, change):

@@ -8,13 +8,13 @@ import pytest
 from planarcontrol.controlset import (
     Classification,
     classify,
-    control_sets,
     half_turn_fixed_points,
     half_turn_iterates,
     periodic_orbit,
     sweep_control_ranges,
 )
 from planarcontrol.errors import TraceZero
+from planarcontrol.geometry import build_orbit_region
 from planarcontrol.planar import line_coordinate
 from planarcontrol.system import LinearControlSystem, equilibrium, flow
 
@@ -175,18 +175,20 @@ def test_classify_invariant_under_conjugation_and_scaling():
 
 
 def test_control_sets_descriptor_table(s0, t0):
-    closed = control_sets(s0)
-    assert [d.kind for d in closed] == ["closed_region"]
-    assert closed[0].closed and closed[0].region is not None
+    # Negative trace: one closed control set, the enclosed region.
+    assert classify(s0) is Classification.CLOSED_CONTROL_SET
+    assert build_orbit_region(s0).boundary is not None
 
-    open_ = control_sets(s0.time_reversed())
-    assert [d.kind for d in open_] == ["open_region", "periodic_orbit"]
-    assert not open_[0].closed and open_[1].closed
-    np.testing.assert_allclose(open_[0].boundary, open_[1].boundary, atol=0)
+    # Positive trace: the open region and the periodic orbit, one boundary.
+    rev = s0.time_reversed()
+    assert classify(rev) is Classification.OPEN_CONTROL_SET_WITH_BOUNDARY_ORBIT
+    region = build_orbit_region(rev)
+    np.testing.assert_allclose(region.boundary, region.orbit.polyline(), atol=0)
 
-    plane = control_sets(t0)
-    assert [d.kind for d in plane] == ["whole_plane"]
-    assert plane[0].region is None
+    # Zero trace: the whole plane, with no enclosed region.
+    assert classify(t0) is Classification.CONTROLLABLE_TRACE_ZERO
+    with pytest.raises(TraceZero):
+        build_orbit_region(t0)
 
 
 def test_line_order_random_negative_trace():

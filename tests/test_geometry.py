@@ -30,7 +30,12 @@ from planarcontrol.planar import (
 )
 from planarcontrol.system import LinearControlSystem, equilibrium, flow
 
-from conftest import converged_fixed_points, random_system, series_expm
+from conftest import (
+    converged_fixed_points,
+    random_normal_system,
+    random_system,
+    series_expm,
+)
 
 
 @pytest.fixture
@@ -324,12 +329,35 @@ def test_forward_invariance_random_systems():
         region = build_orbit_region(sys, samples_per_arc=256)
         pts = np.array([_sample_inside(rng, region.half_plus) for _ in range(5)])
         # also sample from the other half
-        pts2 = np.array([_sample_inside(rng, region.half_minus) for _ in range(5)])
+        work = region.work_system
+        half_minus = SpiralRegion(
+            region.p_minus, equilibrium(work, work.u_max), work.canonical
+        )
+        pts2 = np.array([_sample_inside(rng, half_minus) for _ in range(5)])
         for v in np.vstack([pts, pts2]):
             u = rng.uniform(sys.u_min, sys.u_max)
             s = rng.uniform(0.0, 3.0 * sys.half_period)
             moved = flow(sys, s, v, u)
             assert region.margin(moved) >= -1e-6 * max(1.0, region.scale)
+
+
+def test_margins_symmetric_under_equilibrium_midpoint_reflection():
+    # The paper's symmetry v -> 2m - v, u -> u_min + u_max - u, with m the
+    # midpoint of the extreme equilibria, maps the region onto itself.
+    rng = np.random.default_rng(61)
+    for k in range(40):
+        sign = 1 if k % 2 else -1
+        sys = random_system(rng, sign) if k % 4 < 2 else random_normal_system(rng, sign)
+        region = build_orbit_region(sys, samples_per_arc=64)
+        two_m = equilibrium(sys, sys.u_min) + equilibrium(sys, sys.u_max)
+        lo, hi = region.boundary.min(axis=0), region.boundary.max(axis=0)
+        pts = rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), (500, 2))
+        np.testing.assert_allclose(
+            region.margins_many(two_m - pts),
+            region.margins_many(pts),
+            rtol=0,
+            atol=1e-12 * region.scale,
+        )
 
 
 def test_backward_invariance_positive_trace():

@@ -81,6 +81,24 @@ def test_reconstruction_roundtrip_random():
         assert cf.flipped == (np.linalg.det(cf.basis) < 0.0)
 
 
+def test_canonical_maps_match_matmul():
+    # Elementwise multiply-adds agree with the matrix product on single
+    # points, batches and stacked batches, to one rounding per entry.
+    rng = np.random.default_rng(19)
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        cf = canonicalize(random_complex_matrix(rng))
+        for shape in ((2,), (9, 2), (5, 7, 2)):
+            pts = rng.normal(0.0, 1.0, shape)
+            for got, m in (
+                (cf.to_canonical(pts), cf.basis_inv),
+                (cf.from_canonical(pts), cf.basis),
+            ):
+                assert got.shape == shape
+                bound = 2.0 * eps * (np.abs(pts) @ np.abs(m).T)
+                assert np.all(np.abs(got - pts @ m.T) <= bound)
+
+
 def test_rotation_and_perp_examples():
     np.testing.assert_allclose(QUARTER_TURN @ [1.0, 0.0], [0.0, 1.0], atol=0)
     np.testing.assert_allclose(rotation(math.pi) @ [1.0, 0.0], [-1.0, 0.0], atol=1e-15)
