@@ -114,6 +114,18 @@ def _vector(doc, key, required=False):
     return v
 
 
+# Every top-level key of a config; "A" is an alias of "a".
+_KEYS = ("a", "A", "eta", "omega", "samples", "epsilon", "seed", "u0", "grid",
+         "point", "start", "target", "sweep")
+
+
+def _reject_unknown(doc: dict, known: tuple, prefix: str = "") -> None:
+    """A misspelled key would silently leave its field at the default."""
+    for key in doc:
+        if key not in known:
+            raise ValidationError(f"unknown field '{prefix}{key}'")
+
+
 def parse_config(text: str) -> SystemConfig:
     """Parse and validate a config document.
 
@@ -132,6 +144,7 @@ def parse_config(text: str) -> SystemConfig:
         raise ValidationError("config must be a JSON object")
     if "tau_grid" in doc:
         raise ValidationError("field 'tau_grid' was removed: membership is exact")
+    _reject_unknown(doc, _KEYS)
     raw_a = doc.get("a", doc.get("A"))
     if raw_a is None:
         raise ValidationError("missing required field 'a'")
@@ -148,6 +161,7 @@ def parse_config(text: str) -> SystemConfig:
     grid = doc.get("grid", {})
     if not isinstance(grid, dict):
         raise ValidationError("field 'grid' must be an object")
+    _reject_unknown(grid, ("dx", "dt", "horizon", "bounds"), "grid.")
     for where, key, integral in (
         (doc, "samples", True),
         (doc, "epsilon", False),
@@ -175,6 +189,7 @@ def parse_config(text: str) -> SystemConfig:
     if sweep is not None:
         if not isinstance(sweep, dict) or "nu" not in sweep or "grid" not in sweep:
             raise ValidationError("field 'sweep' must carry 'nu' and 'grid'")
+        _reject_unknown(sweep, ("nu", "grid"), "sweep.")
         try:
             pairs = [(p[0], p[1]) for p in sweep["grid"]]
         except (TypeError, IndexError, KeyError) as exc:

@@ -46,7 +46,7 @@ class TargetNotInterior(PlanarControlError):
 
 
 class EpsilonTooSmall(PlanarControlError):
-    """Requested accuracy is below what the iterate cap can deliver."""
+    """Requested accuracy is below the rounding error of an exact plan."""
 
 
 class NoIntersectionFound(PlanarControlError):

@@ -219,16 +219,19 @@ def hausdorff(set_a, set_b) -> float:
     if a.size == 0 or b.size == 0:
         raise EmptySet("hausdorff distance needs nonempty sets")
 
-    def directed(x, y):
-        worst = 0.0
-        chunk = 2048
-        for lo in range(0, len(x), chunk):
-            d = x[lo : lo + chunk, None, :] - y[None, :, :]
-            dist = np.sqrt(np.sum(d * d, axis=2)).min(axis=1)
-            worst = max(worst, float(dist.max()))
-        return worst
-
-    return max(directed(a, b), directed(b, a))
+    # Squared distances, (chunk, m) per chunk of a to stay in cache: row
+    # minima measure a to b, column minima over all chunks b to a.
+    worst = 0.0
+    col_min = np.full(len(b), np.inf)
+    chunk = max(1, 16384 // len(b))
+    for lo in range(0, len(a), chunk):
+        d2 = a[lo : lo + chunk, 0:1] - b[:, 0]
+        dy = a[lo : lo + chunk, 1:2] - b[:, 1]
+        d2 *= d2
+        d2 += dy * dy
+        worst = max(worst, float(d2.min(axis=1).max()))
+        np.minimum(col_min, d2.min(axis=0), out=col_min)
+    return math.sqrt(max(worst, float(col_min.max())))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ equilibrium exactly.
 
 Negative trace: the region enclosed by the periodic orbit is reached from the
 u_min equilibrium by alternating extreme half turns whose iterates converge
-geometrically to the orbit corners; splicing in the backward exit arc of the
-target yields an endpoint within any requested epsilon.
+geometrically to the orbit corners.  The first of these half turns that the
+target's backward u_min flow crosses, followed by that flow forward, ends on
+the target exactly, up to rounding.
 
 All constructions run in the system's unit frame (``LinearControlSystem.unit``:
 canonical points as complex numbers, v(u_min) at -1 and v(u_max) at +1, the
@@ -192,10 +193,6 @@ def loop_plan(sys: LinearControlSystem, start, u_goal: float, tol: float = 1e-9)
 _SCAN_PER_HALF = 128
 
 
-def _wrap_pm_pi(a: float) -> float:
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
-
-
 def _crossing_search(
     sys: LinearControlSystem,
     x_center: complex,
@@ -207,91 +204,79 @@ def _crossing_search(
     zeta: float,
     t_max: float,
 ):
-    """Find (s, t) where two spirals meet, via polar branches around y_center.
+    """Find (s, t) where two spirals meet, as a root of one level-set function.
 
-    Points are complex numbers in a complex frame of the canonical plane
-    (``sys.unit``), so the quarter turn is 1j and a scalar step of the scan
-    costs Python arithmetic rather than array ops.  The x-curve runs around
-    ``x_center`` through ``x_base`` with time direction ``xi`` (its point at
-    s is ``x_center + e^{xi s lam}(x_base - x_center)``), and the y-curve runs
-    around ``y_center`` through ``y_base`` with time direction ``zeta``: its
-    radius at time t is r0 * exp(zeta * eig_real * t) and its polar angle is
-    ang0 + zeta * eig_imag * t.  Matching angles with the x-curve's unwrapped
-    polar angle phi(s) gives, per winding number j, a continuous time branch
-    t_j(s) and a radial residual whose sign changes are bisected in s.  The
-    scan covers s in [0, s_max].  Returns (s, t, residual) of the first
-    crossing in scan order, or None; the residual is in frame units.
+    Points are Python complex numbers in the unit frame (``sys.unit``).  The
+    x-curve is ``x_center + e^{xi s lam}(x_base - x_center)``, s in
+    [0, s_max].  The y-curve, run around ``y_center`` from ``y_base`` with
+    time direction ``zeta``, is the level set g in 2 pi Z of
+    g = phi - ang0 - ln(rho/r0)/k (phi, rho: polar angle and radius about
+    y_center; ang0, r0: those of y_base; k = eig_real/eig_imag), reached at
+    time t = ln(rho/r0)/(zeta eig_real).  The scan follows g along the
+    x-curve, unwrapping phi (never g, which moves by more than pi per step
+    when |k| is small), and bisects each multiple of 2 pi that g passes.
+    Inside g, t is clamped to the window [0, t_max] plus a slack, so g stays
+    finite at rho = 0.  Returns (s, t, residual) of the first root in scan
+    order whose t lies in the window, or None; the residual is in frame
+    units.
     """
     cf = sys.canonical
-    ei, er, lam = cf.eig_imag, cf.eig_real, cf.lam
+    lam = cf.lam
     x_rel = x_base - x_center
     rel = y_base - y_center
     r0 = abs(rel)
     ang0 = math.atan2(rel.imag, rel.real)
+    # Python floats: numpy scalars would slow every step of the scan.
+    rate = zeta * float(cf.eig_real)  # d ln(rho)/dt on the y-curve
+    turn = zeta * float(cf.eig_imag)  # d phi/dt on the y-curve
     two_pi = 2.0 * math.pi
+    slack = 1e-9 * (1.0 + t_max)
+    t_lo, t_hi = -slack, t_max + slack
 
     def x_of(s):
         return x_center + spiral_arc(lam, xi * s, x_rel, 1j * x_rel)
 
-    def polar(s):
-        # Polar angle and radius of the x-curve about y_center.
+    def level(s, phi_near):
+        # The x-curve's polar angle about y_center (on the branch nearest
+        # phi_near), its y-curve time and the level function g.
         d = x_of(s) - y_center
-        return math.atan2(d.imag, d.real), math.hypot(d.real, d.imag)
+        phi = phi_near + (math.atan2(d.imag, d.real) - phi_near + math.pi) % two_pi - math.pi
+        t = math.log(max(abs(d), 1e-300) / r0) / rate
+        return phi, t, phi - ang0 - turn * min(max(t, t_lo), t_hi)
 
-    def t_of(phi, j):
-        # ang0 + zeta*ei*t = phi - 2*pi*j  =>  t = zeta*(phi - 2*pi*j - ang0)/ei
-        return zeta * (phi - two_pi * j - ang0) / ei
-
-    def rho(radius, phi, j):
-        return radius - r0 * math.exp(zeta * er * t_of(phi, j))
-
-    half = math.pi / ei
+    half = math.pi / cf.eig_imag
     n = max(2, int(math.ceil(s_max / half * _SCAN_PER_HALF)))
     s_grid = np.linspace(0.0, s_max, n + 1)
-    slack = 1e-9 * (1.0 + t_max)
 
-    phi_prev, rad_prev = polar(s_grid[0])
-    for i in range(1, len(s_grid)):
-        s_lo, s_hi = float(s_grid[i - 1]), float(s_grid[i])
-        phi_lo, rad_lo = phi_prev, rad_prev
-        ang_hi, rad_hi = polar(s_hi)
-        phi_hi = phi_lo + _wrap_pm_pi(ang_hi - phi_lo)
-        phi_prev, rad_prev = phi_hi, rad_hi
-        # Winding numbers whose time branch intersects [0, t_max] somewhere
-        # in this s interval: every integer between the endpoint floors.
-        floors = [
-            math.floor((phi - ang0 - zeta * ei * t_end) / two_pi)
-            for phi in (phi_lo, phi_hi)
-            for t_end in (0.0, t_max)
-        ]
-        for j in range(min(floors), max(floors) + 2):
-            t_lo, t_hi_ = t_of(phi_lo, j), t_of(phi_hi, j)
-            if not (
-                -slack <= t_lo <= t_max + slack and -slack <= t_hi_ <= t_max + slack
-            ):
-                continue
-            r_lo, r_hi = rho(rad_lo, phi_lo, j), rho(rad_hi, phi_hi, j)
-            if r_lo == 0.0:
-                r_lo = -r_hi  # treat exact zero at a node as a crossing
-            if r_lo * r_hi > 0.0:
-                continue
-            lo, hi = s_lo, s_hi
-            phi_a, rho_a = phi_lo, r_lo
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                ang_m, rad_m = polar(mid)
-                phi_m = phi_a + _wrap_pm_pi(ang_m - phi_a)
-                rho_m = rho(rad_m, phi_m, j)
-                if rho_a * rho_m <= 0.0:
-                    hi = mid
-                else:
-                    lo, phi_a, rho_a = mid, phi_m, rho_m
-            s_root = 0.5 * (lo + hi)
-            phi_root = phi_a + _wrap_pm_pi(polar(s_root)[0] - phi_a)
-            t_root = min(max(t_of(phi_root, j), 0.0), t_max)
-            y = y_center + spiral_arc(lam, zeta * t_root, rel, 1j * rel)
-            res = abs(x_of(s_root) - y)
-            return float(s_root), float(t_root), res
+    s_a = 0.0
+    phi_a, t_a, g_a = level(s_a, 0.0)
+    for s_b in s_grid[1:]:
+        s_b = float(s_b)
+        phi_b, t_b, g_b = level(s_b, phi_a)
+        if not (max(t_a, t_b) < t_lo or min(t_a, t_b) > t_hi):
+            # Multiples of 2 pi between g_a and g_b, in scan order.
+            if g_a <= g_b:
+                levels = range(math.ceil(g_a / two_pi), math.floor(g_b / two_pi) + 1)
+            else:
+                levels = range(math.floor(g_a / two_pi), math.ceil(g_b / two_pi) - 1, -1)
+            for m in levels:
+                lo, hi = s_a, s_b
+                phi_lo, f_lo = phi_a, g_a - two_pi * m
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    phi_m, _, g_m = level(mid, phi_lo)
+                    f_m = g_m - two_pi * m
+                    if f_lo * f_m <= 0.0:
+                        hi = mid
+                    else:
+                        lo, phi_lo, f_lo = mid, phi_m, f_m
+                s_root = 0.5 * (lo + hi)
+                t_root = level(s_root, phi_lo)[1]
+                if t_lo <= t_root <= t_hi:
+                    t_root = min(max(t_root, 0.0), t_max)
+                    y = y_center + spiral_arc(lam, zeta * t_root, rel, 1j * rel)
+                    return s_root, t_root, abs(x_of(s_root) - y)
+        s_a, phi_a, t_a, g_a = s_b, phi_b, t_b, g_b
     return None
 
 
@@ -357,36 +342,41 @@ def reach_plan(
     target,
     epsilon: float,
     pairs: int | None = None,
-    max_pairs: int = 60,
     region: OrbitRegion | None = None,
 ) -> PlanResult:
-    """Schedule from the u_min equilibrium to within ``epsilon`` of ``target``.
+    """Schedule from the u_min equilibrium that ends on ``target``.
 
     The target must be interior to the region enclosed by the periodic orbit.
-    The construction: (i) flow the target backward under u_min until it exits
-    through the orbit's u_max arc, solving the crossing (exit point b, arc
-    parameter t_b, exit time s0) to machine precision; (ii) from the u_min
-    equilibrium, alternate extreme half turns for k pairs, converging
-    geometrically (factor e^{2*pi*eig_real/eig_imag} per pair) to the arc's
-    start corner; (iii) splice the partial arc to b and the forward u_min arc
-    of duration s0.  Controls never leave {u_min, u_max}.
+    From the u_min equilibrium, k pairs of extreme half turns (u_max, then
+    u_min) move the line point x_k towards the orbit corner p_minus by the
+    factor q^2 = e^{2 pi eig_real/eig_imag} per pair.  The first k whose
+    u_max half turn from x_k meets the target's backward u_min flow (at arc
+    time t and flow time s) gives the schedule: k pairs, (u_max, t),
+    (u_min, s), exact up to rounding.  Controls never leave {u_min, u_max}.
 
     For a positive trace the plan is computed on the time-reversed system
     (``time_reversed`` is set); a zero trace is rejected.
 
     Parameters
     ----------
+    epsilon : float
+        Largest accepted ``endpoint_error``.
     pairs : int, optional
-        Fixed number of half-turn pairs (measurement mode); default chooses
-        the smallest count predicted to beat ``epsilon`` and retries upward
-        until the certified error passes.
+        Measurement mode: exactly ``pairs`` pairs, then the exit arc of the
+        limit orbit, so the error decays like q^(2 pairs); no epsilon check.
+    region : OrbitRegion, optional
+        The region of the system (time-reversed for a positive trace).
 
     Raises
     ------
     TargetNotInterior
         If the target is not strictly inside the region.
     EpsilonTooSmall
-        If ``max_pairs`` pairs cannot reach the requested accuracy.
+        If ``epsilon`` is below the certified error, i.e. below rounding.
+    NoIntersectionFound
+        If no half turn meets the backward flow before x_k stops changing in
+        floating point (that half turn is the boundary arc, which every
+        interior target's flow crosses).
     TraceZero
         Inside the zero-trace band.
     """
@@ -417,48 +407,35 @@ def reach_plan(
     if r_target * unit.length <= 1e-12 * scale:
         return _certified(work, e_min, target, (), time_reversed)
 
-    # (i) exact exit through the u_max arc via the backward u_min flow; the
-    # scan stops at s_cap, past the time the flow needs to leave the region.
-    r_exit = abs(p_minus + 1.0) / max(q, 1e-300)
-    s_cap = (math.log(max(r_exit / max(r_target, 1e-300), 1.0)) / max(-er, 1e-300)) + 4.0 * half
-    found = _crossing_search(
-        work,
-        -1.0,
-        target_w,
-        -1.0,
-        s_cap,
-        1.0,
-        p_minus,
-        zeta=1.0,
-        t_max=half * (1.0 + 1e-12),
-    )
+    def exit_through(x):
+        # The target's backward u_min flow against the u_max half turn from
+        # x.  The flow is r_target e^{-er s} from -1 and the half turn stays
+        # within |x - 1| + 2 of it, so the scan ends where the first exceeds
+        # the second.
+        s_cap = math.log(max((abs(x - 1.0) + 2.0) / r_target, 1.0)) / -er
+        return _crossing_search(
+            work, -1.0, target_w, -1.0, s_cap, 1.0, x, zeta=1.0, t_max=half * (1.0 + 1e-12)
+        )
+
+    if pairs is not None:
+        k, found = pairs, exit_through(p_minus)
+    else:
+        k, x_prev, found = 0, None, None
+        while found is None:
+            k += 1
+            x = -1.0 - 2.0 * q * (1.0 - q ** (2 * k)) / (1.0 - q)
+            if x == x_prev:
+                break
+            found = exit_through(x)
+            x_prev = x
     if found is None or found[2] * unit.length > 1e-9 * scale:
-        raise NoIntersectionFound("backward exit through the boundary arc not found")
+        raise NoIntersectionFound("backward exit through a half turn not found")
     s0, t_b, _ = found
 
-    # (ii)+(iii): choose pair count, assemble, certify.
-    err0 = unit.length * abs(p_minus + 1.0)  # canonical |v(u_min) - p_minus|
-    if pairs is None:
-        want = max(epsilon / 4.0, 1e-13 * scale)
-        k = 1
-        while err0 * q ** (2 * k) > want and k < max_pairs:
-            k += 1
-    else:
-        k = pairs
-
-    while True:
-        schedule = [(work.u_max, half), (work.u_min, half)] * k
-        schedule.append((work.u_max, t_b))
-        schedule.append((work.u_min, s0))
-        plan = _certified(work, e_min, target, schedule, time_reversed)
-        if pairs is not None or plan.endpoint_error <= epsilon:
-            if pairs is None and plan.endpoint_error > epsilon:
-                raise EpsilonTooSmall(
-                    f"error {plan.endpoint_error:.3g} above epsilon after {k} pairs"
-                )
-            return plan
-        if k >= max_pairs:
-            raise EpsilonTooSmall(
-                f"error {plan.endpoint_error:.3g} above epsilon after {k} pairs"
-            )
-        k += 1
+    schedule = [(work.u_max, half), (work.u_min, half)] * k + [(work.u_max, t_b), (work.u_min, s0)]
+    plan = _certified(work, e_min, target, schedule, time_reversed)
+    if pairs is None and plan.endpoint_error > epsilon:
+        raise EpsilonTooSmall(
+            f"error {plan.endpoint_error:.3g} above epsilon after {k} pairs"
+        )
+    return plan

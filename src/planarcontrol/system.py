@@ -32,7 +32,7 @@ class ControlRangeWarning(UserWarning):
     """A control value outside the admissible range was accepted."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearControlSystem:
     """Planar linear control system ``v' = A v + u eta``, u in [u_min, u_max].
 
@@ -40,6 +40,8 @@ class LinearControlSystem:
     invertible).  Canonical data, A^-1 eta and the unit frame (the canonical
     complex frame with v(u_min) at -1 and v(u_max) at +1) are computed once
     and cached; instances are immutable and safe to share across threads.
+    Equality and hashing are by identity (the fields are arrays), so a
+    system can key a dict or a cache.
     """
 
     a: np.ndarray

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from planarcontrol.system import LinearControlSystem
 
@@ -132,3 +133,26 @@ def converged_fixed_points(sys: LinearControlSystem, tol: float = 1e-12):
             break
         prev = v
     return v, odd
+
+
+@st.composite
+def systems(draw):
+    """|k| = |eig_real|/eig_imag in [0.05, 3] of either sign, either spin, a
+    sheared and stretched basis, and eta and the control range (width and
+    offset) over six decades."""
+    ei = 10.0 ** draw(st.floats(-1.0, 1.0))
+    k = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 3.0))
+    spin = draw(st.sampled_from([-1.0, 1.0]))
+    drift = np.array([[k * ei, -spin * ei], [spin * ei, k * ei]])
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    shear = draw(st.floats(-3.0, 3.0))
+    stretch = 10.0 ** draw(st.floats(-1.0, 1.0))
+    basis = np.array([[1.0, shear], [0.0, stretch]]) @ rot
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    eta = 10.0 ** draw(st.floats(-3.0, 3.0)) * np.array([math.cos(phi), math.sin(phi)])
+    width = 10.0 ** draw(st.floats(-3.0, 3.0))
+    centre = width * draw(st.floats(-5.0, 5.0))
+    a = basis @ drift @ np.linalg.inv(basis)
+    return LinearControlSystem(a, eta, centre - 0.5 * width, centre + 0.5 * width)

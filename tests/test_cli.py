@@ -53,6 +53,9 @@ def _run(tmp_path, command, doc, *extra):
         ("reach", {"grid": {"bounds": [-1, 1, -1, True]}}),
         ("sweep", {"sweep": {"nu": 0.0, "grid": [[-1.0, True]]}}),
         ("sweep", {"sweep": {"nu": 0.0, "grid": [{"alpha": -1.0}]}}),
+        ("plan", {"epsilom": 1e-9}),
+        ("reach", {"grid": {"dtt": 0.5}}),
+        ("sweep", {"sweep": {"nu": 0.0, "grid": [[-1.0, 1.0]], "steps": 4}}),
     ],
 )
 def test_malformed_field_exits_2_without_artifacts(tmp_path, capsys, command, change):

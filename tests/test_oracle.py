@@ -91,6 +91,22 @@ def test_hausdorff_is_symmetric_and_detects_outliers():
     assert hausdorff(a, b) >= np.linalg.norm([10.0, 10.0]) - 3.0
 
 
+def test_hausdorff_equals_scalar_double_loop():
+    def directed(x, y):
+        return max(
+            min(math.sqrt((p[0] - r[0]) ** 2 + (p[1] - r[1]) ** 2) for r in y)
+            for p in x
+        )
+
+    rng = np.random.default_rng(131)
+    # 16384 // m rows per chunk: 12,000 x 3 spans three chunks, 40 x 700
+    # two, 700 x 40 two, and 3 x 9,000 three of one row.
+    for n, m in ((12000, 3), (40, 700), (700, 40), (3, 9000), (1, 1)):
+        a = rng.normal(0.0, 1.0, (n, 2))
+        b = rng.normal(0.3, 2.0, (m, 2))
+        assert hausdorff(a, b) == max(directed(a, b), directed(b, a))
+
+
 def test_grid_refinement_keeps_cells_within_one_dilation(s0):
     coarse_spec = default_grid_spec(s0, dx=0.08, dt=0.1, horizon=8.0)
     fine_spec = GridSpec(

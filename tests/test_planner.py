@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from planarcontrol.errors import (
     InvalidControl,
@@ -16,7 +18,9 @@ from planarcontrol.geometry import build_orbit_region
 from planarcontrol.planner import hop_plan, loop_plan, reach_plan, spiral_crossing
 from planarcontrol.system import LinearControlSystem, equilibrium, flow, simulate
 
-from conftest import random_system, random_trace_zero_system
+from conftest import random_system, random_trace_zero_system, series_expm, systems
+
+EPS = np.finfo(float).eps
 
 
 def test_hop_plan_worked_example(t0):
@@ -193,6 +197,69 @@ def test_reach_plan_positive_trace_runs_reversed(s0):
     assert np.linalg.norm(traj.endpoint - plan.endpoint) < 1e-9
 
 
+def _slow_system(ratio, skewed):
+    """eig_real/eig_imag = ratio; normal and counter-clockwise, or clockwise
+    in a skewed basis."""
+    drift = np.array([[ratio, -1.0], [1.0, ratio]])
+    if skewed:
+        basis = np.array([[1.2, 0.3], [-0.2, 0.9]])
+        drift = basis @ drift.T @ np.linalg.inv(basis)
+    return LinearControlSystem(drift, [0.6, -0.8], -1.0, 0.5)
+
+
+@pytest.mark.parametrize("skewed", [False, True])
+@pytest.mark.parametrize("ratio", [-0.03, -0.01])
+def test_reach_plan_exact_at_slow_contraction(ratio, skewed):
+    # q^2 = e^{2 pi ratio} is 0.83 and 0.94 here, so a plan that only
+    # approaches the limit orbit would need hundreds of pairs for this
+    # epsilon.
+    sys = _slow_system(ratio, skewed)
+    region = build_orbit_region(sys)
+    scale = max(1.0, region.scale)
+    rng = np.random.default_rng(113)
+    for _ in range(6):
+        target = _interior_point(rng, region)
+        plan = reach_plan(sys, target, 1e-9 * scale, region=region)
+        assert plan.endpoint_error <= 1e-12 * scale
+        assert all(u in (sys.u_min, sys.u_max) for u, _ in plan.schedule)
+        traj = simulate(sys, plan.start, plan.schedule)
+        assert region.margins_many(traj.dense_states).min() >= -1e-12 * scale
+
+
+def _expm(a, dt):
+    """exp(dt a) by the power series, scaled and squared."""
+    j = max(0, math.ceil(math.log2(max(np.abs(a).sum() * dt, 1e-300) / 0.25)))
+    m = series_expm(a, dt / 2.0**j)
+    for _ in range(j):
+        m = m @ m
+    return m
+
+
+# The bounds are about three times the worst of 20,000 random systems of this
+# family, in units of EPS and of the scale: 4.2 for the certified endpoint
+# error and 4.9 for the replay, whose rounding also grows with the phase.
+@given(systems(), st.floats(0.05, 0.9), st.integers(0, 2**16))
+def test_reach_plan_replays_onto_target(sys, depth, vertex):
+    work = sys.time_reversed() if sys.trace > 0.0 else sys
+    region = build_orbit_region(work)
+    poly = region.boundary[:-1]
+    centroid = poly.mean(axis=0)
+    # The region is convex, so this point is interior.
+    target = centroid + depth * (poly[vertex % len(poly)] - centroid)
+    plan = reach_plan(sys, target, 1e-9 * region.scale, region=region)
+    e_min = equilibrium(work, work.u_min)
+    e_max = equilibrium(work, work.u_max)
+    cond = np.linalg.cond(sys.canonical.basis)
+    ref = cond * (np.linalg.norm(e_min) + np.linalg.norm(e_max) + region.scale)
+    assert plan.endpoint_error <= 16.0 * EPS * ref
+    v = plan.start
+    for u, dt in plan.schedule:
+        center = -u * np.linalg.solve(work.a, work.eta)
+        v = _expm(work.a, dt) @ (v - center) + center
+    phase = abs(work.canonical.lam) * sum(dt for _, dt in plan.schedule)
+    assert np.linalg.norm(v - target) <= 16.0 * EPS * ref * (1.0 + phase)
+
+
 def test_spiral_crossing_examples(s0):
     s_at, t_at = spiral_crossing(s0, equilibrium(s0, s0.u_min), s0.u_max)
     assert (s_at, t_at) == (0.0, 0.0)
@@ -256,6 +323,22 @@ def test_spiral_crossing_default_window_follows_slow_contraction():
         s_at, t_at = spiral_crossing(sys, v, u)
         gap = flow(sys, s_at, v, sys.u_min) - flow(sys, -t_at, e_min, u)
         assert np.linalg.norm(gap) < 1e-9 * (1.0 + region.scale)
+
+
+def test_spiral_crossing_at_very_slow_contraction():
+    # eig_real/eig_imag = -0.005, and u near u_min: the backward u-spiral
+    # meets the u_min spiral after about a thousand time units, hundreds of
+    # half periods into the window.
+    sys = _slow_system(-0.005, skewed=True)
+    region = build_orbit_region(sys, samples_per_arc=128)
+    rng = np.random.default_rng(127)
+    e_min = equilibrium(sys, sys.u_min)
+    for _ in range(3):
+        v = _interior_point(rng, region)
+        u = sys.u_min + rng.uniform(0.02, 0.1) * (sys.u_max - sys.u_min)
+        s_at, t_at = spiral_crossing(sys, v, u)
+        gap = flow(sys, s_at, v, sys.u_min) - flow(sys, -t_at, e_min, u)
+        assert np.linalg.norm(gap) < 1e-9 * region.scale
 
 
 def _interior_point(rng, region, shrink=0.8):

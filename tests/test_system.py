@@ -30,6 +30,14 @@ def test_system_validation():
         LinearControlSystem([[-1, -1], [1, -1]], [0, 0], -1.0, 1.0)
 
 
+def test_systems_compare_and_hash_by_identity(s0):
+    twin = LinearControlSystem(s0.a, s0.eta, s0.u_min, s0.u_max)
+    assert s0 == s0 and s0 != twin
+    assert hash(s0) == hash(s0)
+    cache = {s0: "s0", twin: "twin"}
+    assert cache[s0] == "s0" and cache[twin] == "twin"
+
+
 def test_equilibrium_examples(s0):
     np.testing.assert_allclose(equilibrium(s0, 0.0), [0.0, 0.0], atol=0)
     # Independent oracle: solve A v = -u eta directly.

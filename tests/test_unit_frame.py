@@ -9,32 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from planarcontrol.controlset import half_turn_fixed_points
-from planarcontrol.system import LinearControlSystem, equilibrium, flow
+from planarcontrol.system import equilibrium, flow
+
+from conftest import systems
 
 EPS = np.finfo(float).eps
-
-
-@st.composite
-def systems(draw):
-    """|k| = |eig_real|/eig_imag in [0.05, 3] of either sign, either spin, a
-    sheared and stretched basis, and eta and the control range (width and
-    offset) over six decades."""
-    ei = 10.0 ** draw(st.floats(-1.0, 1.0))
-    k = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 3.0))
-    spin = draw(st.sampled_from([-1.0, 1.0]))
-    drift = np.array([[k * ei, -spin * ei], [spin * ei, k * ei]])
-    theta = draw(st.floats(0.0, 2.0 * math.pi))
-    c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    shear = draw(st.floats(-3.0, 3.0))
-    stretch = 10.0 ** draw(st.floats(-1.0, 1.0))
-    basis = np.array([[1.0, shear], [0.0, stretch]]) @ rot
-    phi = draw(st.floats(0.0, 2.0 * math.pi))
-    eta = 10.0 ** draw(st.floats(-3.0, 3.0)) * np.array([math.cos(phi), math.sin(phi)])
-    width = 10.0 ** draw(st.floats(-3.0, 3.0))
-    centre = width * draw(st.floats(-5.0, 5.0))
-    a = basis @ drift @ np.linalg.inv(basis)
-    return LinearControlSystem(a, eta, centre - 0.5 * width, centre + 0.5 * width)
 
 
 def _offset(sys):
