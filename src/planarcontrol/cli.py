@@ -11,6 +11,7 @@ failure; 4 I/O failure.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import build_orbit_region, line_order_coordinates
-from .oracle import GridSpec, default_grid_spec, grid_reachable_set
+from .oracle import GridSpec, ReachSet, default_grid_spec, grid_reachable_set
 from .planner import hop_plan, reach_plan
 from .svg import render_svg
 from .system import LinearControlSystem, equilibrium, flow, simulate
@@ -264,6 +265,21 @@ def _csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cell_rows(reach: ReachSet):
+    """CSV fields (x, y) of each occupied cell centre, in ``occupied_points`` order.
+
+    A centre's x depends only on its column and its y only on its row, so
+    each of the nx column and ny row centres is formatted once.
+    """
+    ny, nx = reach.spec.shape
+    index = np.arange(max(nx, ny))
+    centres = reach.spec.centers_of(index, index)
+    xs = [_fmt(x) for x in centres[:nx, 0].tolist()]
+    ys = [_fmt(y) for y in centres[:ny, 1].tolist()]
+    rows, cols = np.nonzero(reach.occupancy)
+    return ((xs[c], ys[r]) for r, c in zip(rows.tolist(), cols.tolist()))
+
+
 def _check(name: str, passed: bool, margin: float) -> dict:
     return {"name": name, "passed": bool(passed), "margin": float(margin)}
 
@@ -456,7 +472,7 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
         pts = reach.occupied_points()
-        emit("reach.csv", _csv_text("x,y", ((_fmt(p[0]), _fmt(p[1])) for p in pts)))
+        emit("reach.csv", _csv_text("x,y", _cell_rows(reach)))
         report["reach"] = {
             "occupied": reach.occupied_count(),
             "spill": reach.spill_count,
@@ -518,7 +534,10 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
     return report
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call
+    (``parse_args`` leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="planarcontrol",
         description=(
@@ -544,7 +563,11 @@ def main(argv=None) -> int:
         p.add_argument("--grid-dt", type=float, default=None, help="occupancy time step")
         p.add_argument("--horizon", type=float, default=None, help="occupancy horizon")
         p.add_argument("--epsilon", type=float, default=None, help="plan accuracy")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

@@ -133,6 +133,12 @@ def grid_reachable_set(
     representative per subcell, which keeps occupancy independent of frontier
     processing order); the sweep stops at the horizon or at a fixpoint, and
     out-of-bounds landings are dropped and counted.
+
+    Each layer is one pass over all control samples at once: the new subcells
+    are the sorted unique flat indices of the fresh landings, and their
+    representatives come from two scatter minima over the group ids, first of
+    x, then of y among the landings that attain that x.  No sort over floats
+    is needed, and the scratch arrays are sized by the frontier, not the grid.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -145,17 +151,17 @@ def grid_reachable_set(
         samples = (sys.u_min, 0.5 * (sys.u_min + sys.u_max), sys.u_max)
     sign = 1.0 if direction == "forward" else -1.0
     m = sys.propagator(sign * spec.dt)
-    maps = []
-    for u in samples:
-        center = -u * sys.inv_a_eta
-        b = center - m @ center
-        maps.append((m.T.copy(), b))
+    mt = m.T.copy()
+    # One step is frontier @ m.T plus, per control sample, the offset
+    # c - m c of its centre c; shaped (k, 1, 2) to broadcast over the frontier.
+    offsets = np.array([c - m @ c for c in (-u * sys.inv_a_eta for u in samples)])
+    offsets = offsets.reshape(-1, 1, 2)
 
     refine = 4
     ny, nx = spec.shape
-    fx = nx * refine
+    fy, fx = ny * refine, nx * refine
     occupancy = np.zeros((ny, nx), dtype=bool)
-    visited = np.zeros((ny * refine, fx), dtype=bool)
+    visited = np.zeros(fy * fx, dtype=bool)  # subcells, flat row-major
 
     def subcell(points):
         col = np.floor((points[:, 0] - xmin) / spec.dx * refine).astype(np.int64)
@@ -165,36 +171,32 @@ def grid_reachable_set(
     row0, col0 = spec.cell_of(v0)
     occupancy[row0[0], col0[0]] = True
     srow0, scol0 = subcell(v0[None, :])
-    visited[srow0[0], scol0[0]] = True
+    visited[srow0[0] * fx + scol0[0]] = True
     frontier = v0[None, :]
     spill = 0
     steps = int(math.floor(spec.horizon / spec.dt + 1e-9))
     steps_run = 0
     for _ in range(steps):
-        landed_all = []
-        for mt, b in maps:
-            landed = frontier @ mt + b
-            srows, scols = subcell(landed)
-            ok = (srows >= 0) & (srows < ny * refine) & (scols >= 0) & (scols < fx)
-            spill += int((~ok).sum())
-            fresh = ok.copy()
-            fresh[ok] = ~visited[srows[ok], scols[ok]]
-            if fresh.any():
-                landed_all.append(
-                    np.column_stack([srows[fresh] * fx + scols[fresh], landed[fresh]])
-                )
+        landed = (frontier @ mt + offsets).reshape(-1, 2)
+        srows, scols = subcell(landed)
+        ok = (srows >= 0) & (srows < fy) & (scols >= 0) & (scols < fx)
+        landed, flat = landed[ok], srows[ok] * fx + scols[ok]
+        spill += len(ok) - len(flat)
+        fresh = ~visited[flat]
         steps_run += 1
-        if not landed_all:
+        if not fresh.any():
             break
-        stacked = np.vstack(landed_all)
-        # One representative per new subcell: lexicographic (x, y) minimum.
-        order = np.lexsort((stacked[:, 2], stacked[:, 1], stacked[:, 0]))
-        stacked = stacked[order]
-        flat = stacked[:, 0].astype(np.int64)
-        first = np.concatenate([[True], flat[1:] != flat[:-1]])
-        flat = flat[first]
-        frontier = stacked[first, 1:]
-        visited[flat // fx, flat % fx] = True
+        landed = landed[fresh]
+        flat, group = np.unique(flat[fresh], return_inverse=True)
+        # One representative per new subcell: the lexicographic (x, y) minimum.
+        x, y = landed[:, 0], landed[:, 1]
+        best_x = np.full(len(flat), np.inf)
+        np.minimum.at(best_x, group, x)
+        on_min = x == best_x[group]
+        best_y = np.full(len(flat), np.inf)
+        np.minimum.at(best_y, group[on_min], y[on_min])
+        frontier = np.column_stack([best_x, best_y])
+        visited[flat] = True
         occupancy[flat // fx // refine, flat % fx // refine] = True
     return ReachSet(
         occupancy=occupancy,

@@ -35,11 +35,11 @@ def render_svg(polylines, markers=(), size: int = 640) -> str:
     span = max(xmax - xmin, ymax - ymin)
     scale = size / span
 
-    def sx(x):
-        return (x - xmin) * scale
-
-    def sy(y):
-        return (ymax - y) * scale  # flip: SVG y axis points down
+    def screen(points):
+        """Points (n, 2) in SVG coordinates, as Python floats, row by row."""
+        x = (points[:, 0] - xmin) * scale
+        y = (ymax - points[:, 1]) * scale  # flip: SVG y axis points down
+        return np.column_stack([x, y]).tolist()
 
     w = (xmax - xmin) * scale
     h = (ymax - ymin) * scale
@@ -51,17 +51,17 @@ def render_svg(polylines, markers=(), size: int = 640) -> str:
     stroke_w = _fmt(size / 320.0)
     for i, poly in enumerate(polys):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{_fmt(sx(p[0]))},{_fmt(sy(p[1]))}" for p in poly)
+        pts = " ".join(f"{x:.6g},{y:.6g}" for x, y in screen(poly))
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{stroke_w}"/>'
         )
     radius = _fmt(size / 160.0)
-    for j, pt in enumerate(markers):
+    centres = screen(np.asarray(markers, dtype=float).reshape(-1, 2))
+    for j, (cx, cy) in enumerate(centres):
         color = _COLORS[(len(polys) + j) % len(_COLORS)]
         lines.append(
-            f'<circle cx="{_fmt(sx(float(pt[0])))}" cy="{_fmt(sy(float(pt[1])))}" '
-            f'r="{radius}" fill="{color}"/>'
+            f'<circle cx="{cx:.6g}" cy="{cy:.6g}" r="{radius}" fill="{color}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

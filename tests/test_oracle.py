@@ -16,7 +16,11 @@ from planarcontrol.oracle import (
 )
 from planarcontrol.system import LinearControlSystem, equilibrium, flow
 
-from conftest import random_normal_system
+from conftest import (
+    random_normal_system,
+    random_system,
+    random_trace_zero_system,
+)
 
 
 def test_singleton_control_at_equilibrium_occupies_only_source(s0):
@@ -105,6 +109,109 @@ def test_hausdorff_equals_scalar_double_loop():
         a = rng.normal(0.0, 1.0, (n, 2))
         b = rng.normal(0.3, 2.0, (m, 2))
         assert hausdorff(a, b) == max(directed(a, b), directed(b, a))
+
+
+def _lexsort_reachable_set(sys, v0, spec, direction):
+    """The sweep with one matmul per control sample and a 3-key lexsort per
+    layer; kept as the reference for the one-pass step.
+
+    Returns (occupancy, spill_count, steps_run).
+    """
+    xmin, _, ymin, _ = spec.bounds
+    samples = spec.control_samples
+    if samples is None:
+        samples = (sys.u_min, 0.5 * (sys.u_min + sys.u_max), sys.u_max)
+    sign = 1.0 if direction == "forward" else -1.0
+    m = sys.propagator(sign * spec.dt)
+    maps = []
+    for u in samples:
+        center = -u * sys.inv_a_eta
+        maps.append((m.T.copy(), center - m @ center))
+    refine = 4
+    ny, nx = spec.shape
+    fx = nx * refine
+    occupancy = np.zeros((ny, nx), dtype=bool)
+    visited = np.zeros((ny * refine, fx), dtype=bool)
+
+    def subcell(points):
+        col = np.floor((points[:, 0] - xmin) / spec.dx * refine).astype(np.int64)
+        row = np.floor((points[:, 1] - ymin) / spec.dx * refine).astype(np.int64)
+        return row, col
+
+    v0 = np.asarray(v0, dtype=float)
+    row0, col0 = spec.cell_of(v0)
+    occupancy[row0[0], col0[0]] = True
+    srow0, scol0 = subcell(v0[None, :])
+    visited[srow0[0], scol0[0]] = True
+    frontier = v0[None, :]
+    spill = 0
+    steps_run = 0
+    for _ in range(int(math.floor(spec.horizon / spec.dt + 1e-9))):
+        landed_all = []
+        for mt, b in maps:
+            landed = frontier @ mt + b
+            srows, scols = subcell(landed)
+            ok = (srows >= 0) & (srows < ny * refine) & (scols >= 0) & (scols < fx)
+            spill += int((~ok).sum())
+            fresh = ok.copy()
+            fresh[ok] = ~visited[srows[ok], scols[ok]]
+            if fresh.any():
+                landed_all.append(
+                    np.column_stack([srows[fresh] * fx + scols[fresh], landed[fresh]])
+                )
+        steps_run += 1
+        if not landed_all:
+            break
+        stacked = np.vstack(landed_all)
+        order = np.lexsort((stacked[:, 2], stacked[:, 1], stacked[:, 0]))
+        stacked = stacked[order]
+        flat = stacked[:, 0].astype(np.int64)
+        first = np.concatenate([[True], flat[1:] != flat[:-1]])
+        flat = flat[first]
+        frontier = stacked[first, 1:]
+        visited[flat // fx, flat % fx] = True
+        occupancy[flat // fx // refine, flat % fx // refine] = True
+    return occupancy, spill, steps_run
+
+
+def test_one_pass_step_matches_lexsort_reference():
+    rng = np.random.default_rng(1109)
+    spilled = set()
+    for trace_sign in (-1, 0, 1):
+        for direction in ("forward", "backward"):
+            for kind in ("default", "tie", "five"):
+                for box in (4.0, 0.8):  # wide, then tight enough to spill
+                    if trace_sign:
+                        sys = random_system(rng, trace_sign)
+                    else:
+                        sys = random_trace_zero_system(rng, normal=False)
+                    samples = {
+                        "default": None,
+                        "tie": (sys.u_min, sys.u_min, sys.u_max),
+                        "five": tuple(np.linspace(sys.u_min, sys.u_max, 5)),
+                    }[kind]
+                    e_min = equilibrium(sys, sys.u_min)
+                    e_max = equilibrium(sys, sys.u_max)
+                    c = 0.5 * (e_min + e_max)
+                    half = box * float(np.linalg.norm(e_max - e_min))
+                    spec = GridSpec(
+                        (c[0] - half, c[0] + half, c[1] - half, c[1] + half),
+                        dx=half / rng.uniform(15.0, 25.0),
+                        dt=sys.half_period / rng.uniform(6.0, 12.0),
+                        horizon=3.0 * sys.half_period,
+                        control_samples=samples,
+                    )
+                    v0 = c + rng.uniform(-0.1, 0.1, 2) * half
+                    got = grid_reachable_set(sys, v0, spec, direction)
+                    occupancy, spill, steps = _lexsort_reachable_set(
+                        sys, v0, spec, direction
+                    )
+                    case = (trace_sign, direction, kind, box)
+                    assert np.array_equal(got.occupancy, occupancy), case
+                    assert got.spill_count == spill, case
+                    assert got.steps_run == steps, case
+                    spilled.add(spill > 0)
+    assert spilled == {True, False}
 
 
 def test_grid_refinement_keeps_cells_within_one_dilation(s0):
