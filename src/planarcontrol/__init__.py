@@ -58,7 +58,6 @@ from .controlset import (
     SweepPoint,
     classify,
     half_turn_fixed_points,
-    half_turn_iterates,
     periodic_orbit,
     sweep_control_ranges,
 )

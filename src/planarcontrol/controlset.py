@@ -23,7 +23,6 @@ __all__ = [
     "TRACE_ZERO_BAND",
     "classify",
     "half_turn_fixed_points",
-    "half_turn_iterates",
     "is_trace_zero",
     "periodic_orbit",
     "sweep_control_ranges",
@@ -57,22 +56,13 @@ def classify(sys: LinearControlSystem) -> Classification:
     return Classification.OPEN_CONTROL_SET_WITH_BOUNDARY_ORBIT
 
 
-def _contraction(sys: LinearControlSystem) -> float:
-    """Half-turn radial factor e^{pi * eig_real / eig_imag}."""
-    cf = sys.canonical
-    return math.exp(math.pi * cf.eig_real / cf.eig_imag)
-
-
 def half_turn_fixed_points(sys: LinearControlSystem) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form fixed points (p_plus, p_minus) of the composed half-turn maps.
 
-    With q = e^{pi*eig_real/eig_imag},
-
-        p_plus  = ((-u_max + q u_min) / (1 - q)) A^-1 eta
-        p_minus = ((-u_min + q u_max) / (1 - q)) A^-1 eta
-
-    and one half turn under u_min maps p_plus to p_minus and vice versa under
-    u_max, for either sign of the trace.
+    They are the orbit corners ±(1 + q)/(1 - q) of the half-turn algebra
+    (:mod:`planarcontrol.planar`), in original coordinates and for either
+    sign of the trace: one half turn under u_min maps p_plus to p_minus, and
+    one under u_max maps it back.
 
     Raises
     ------
@@ -81,54 +71,8 @@ def half_turn_fixed_points(sys: LinearControlSystem) -> tuple[np.ndarray, np.nda
     """
     if is_trace_zero(sys):
         raise TraceZero("half-turn fixed points need a nonzero trace")
-    q = _contraction(sys)
-    p_plus = ((-sys.u_max + q * sys.u_min) / (1.0 - q)) * sys.inv_a_eta
-    p_minus = ((-sys.u_min + q * sys.u_max) / (1.0 - q)) * sys.inv_a_eta
-    return p_plus, p_minus
-
-
-def half_turn_iterates(sys: LinearControlSystem, n: int) -> list[np.ndarray]:
-    """Iterates P_0 .. P_n of the alternating half-turn recurrence.
-
-    P_0 is the u_max equilibrium; each step applies one half turn under u_min
-    (odd index) or u_max (even index).  With q = e^{pi*eig_real/eig_imag} and
-    S_m = sum_{j<=m} q^j, the values admit the closed forms
-
-        P_{2k}   = -q S_{2k-1} v(u_min) + S_{2k} v(u_max)
-        P_{2k+1} =    S_{2k+1} v(u_min) - q S_{2k} v(u_max)
-
-    which are used directly: the geometric sums accumulate without
-    cancellation, so the error stays at one rounding of the limit uniformly
-    in k instead of compounding per half turn.
-
-    For a positive trace the recurrence diverges, so it is run on the
-    time-reversed system, whose iterates converge to the same orbit corners
-    with roles exchanged.
-
-    Raises
-    ------
-    TraceZero
-        Inside the zero-trace band.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if is_trace_zero(sys):
-        raise TraceZero("half-turn iterates need a nonzero trace")
-    if sys.trace > 0.0:
-        sys = sys.time_reversed()
-    q = _contraction(sys)
-    v_min = -sys.u_min * sys.inv_a_eta
-    v_max = -sys.u_max * sys.inv_a_eta
-    powers = np.cumsum(q ** np.arange(n + 2))  # powers[m] = S_m
-    out = []
-    for k in range(n + 1):
-        if k == 0:
-            out.append(v_max.copy())
-        elif k % 2 == 0:
-            out.append(-q * powers[k - 1] * v_min + powers[k] * v_max)
-        else:
-            out.append(powers[k] * v_min - q * powers[k - 1] * v_max)
-    return out
+    c = (sys.u_max - sys.u_min) / sys.unit.one_minus_q
+    return -(c + sys.u_min) * sys.inv_a_eta, (c - sys.u_max) * sys.inv_a_eta
 
 
 @dataclass(frozen=True)

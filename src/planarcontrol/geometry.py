@@ -342,9 +342,9 @@ class OrbitRegion:
         half = self.half_plus
         w = np.atleast_1d(half.frame.to_unit(points))
         # In half_plus's frame v(u_min) is 0, v(u_max) is 1 - q and p_plus
-        # is 1 (q = e^{pi k}), so the reflection through the midpoint of the
-        # equilibria is w -> 1 - q - w.
-        mirror = 1.0 - math.exp(math.pi * half.frame.k)
+        # is 1, so the reflection through the midpoint of the equilibria is
+        # w -> 1 - q - w.
+        mirror = half.frame.one_minus_q
         return half._arc_margins(np.where(w.imag < 0.0, mirror - w, w))
 
     def margin(self, v) -> float:
@@ -382,9 +382,8 @@ def build_orbit_region(sys: LinearControlSystem, samples_per_arc: int = 1024) ->
     orbit = periodic_orbit(work, samples_per_arc)
     v_min = equilibrium(work, work.u_min)
     half_plus = SpiralRegion(orbit.p_plus, v_min, work.canonical)
-    unit = work.unit
-    span = unit.to_unit(orbit.p_plus) - unit.to_unit(orbit.p_minus)
-    scale = unit.length * abs(span)
+    # The corners are ±corner in the unit frame.
+    scale = 2.0 * work.unit.length * work.unit.corner
     return OrbitRegion(
         system=sys,
         work_system=work,

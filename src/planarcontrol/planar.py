@@ -12,8 +12,20 @@ multiplication with lam = a + ib, which commutes with complex-affine maps.
 So in every frame w = (z - origin)/unit (:class:`UnitFrame`) the flow about
 an equilibrium c is w -> c + e^{lam s}(w - c).  A system's unit frame puts
 v(u_min) at -1 and v(u_max) at +1; there the equilibrium of u is the real
-(2u - u_min - u_max)/(u_max - u_min) and the half-turn fixed points are
-±(1 + q)/(1 - q), q = e^{pi a/b}.
+(2u - u_min - u_max)/(u_max - u_min).
+
+The half-turn algebra is defined once, on :class:`UnitFrame`.  Half a
+period about the real equilibrium c is, with q = e^{pi k} and k = a/b,
+
+    H_c(w) = c - q (w - c),
+
+the reflection w -> 2c - w at zero trace (q = 1).  A pair of half turns
+about +1, then -1, has the fixed point p_minus = -(1 + q)/(1 - q), the other
+order p_plus = (1 + q)/(1 - q): the orbit corners.  n pairs take -1 to
+
+    x_n = -1 - 2q (1 - q^(2n))/(1 - q),
+
+with 1 - q and 1 - q^(2n) from expm1, so they keep their digits as q -> 1.
 
 Vectors are numpy arrays of shape (2,), matrices of shape (2, 2); both are
 referred to as ``Vec2`` / ``Mat2`` in docstrings.
@@ -173,6 +185,25 @@ class UnitFrame:
     gamma: complex
     k: float
     length: float
+
+    @property
+    def q(self) -> float:
+        """e^{pi k}, the radial factor of a half turn (module docstring)."""
+        return math.exp(math.pi * self.k)
+
+    @property
+    def one_minus_q(self) -> float:
+        """1 - q, without cancellation near k = 0."""
+        return -math.expm1(math.pi * self.k)
+
+    @property
+    def corner(self) -> float:
+        """(1 + q)/(1 - q), p_plus in a system's unit frame; p_minus is -corner."""
+        return (1.0 + self.q) / self.one_minus_q
+
+    def pair_iterate(self, n: int) -> float:
+        """x_n, the image of -1 after n pairs of half turns (module docstring)."""
+        return -1.0 + 2.0 * self.q * math.expm1(2.0 * math.pi * self.k * n) / self.one_minus_q
 
     def to_unit(self, points):
         """Images of points (..., 2); one point (2,) gives a Python complex."""

@@ -36,7 +36,7 @@ from .errors import (
     TraceNotZero,
     TraceZero,
 )
-from .geometry import Membership, OrbitRegion, build_orbit_region
+from .geometry import OrbitRegion, build_orbit_region
 from .planar import as_vector, spiral_arc
 from .system import LinearControlSystem, equilibrium, segment_endpoints
 from .controlset import is_trace_zero
@@ -83,6 +83,11 @@ def _certified(sys, start, goal, schedule, time_reversed=False) -> PlanResult:
     )
 
 
+def _unit_centre(sys: LinearControlSystem, u: float) -> float:
+    """The equilibrium of ``u`` in the unit frame, a real number."""
+    return (2.0 * u - sys.u_min - sys.u_max) / (sys.u_max - sys.u_min)
+
+
 def hop_plan(sys: LinearControlSystem, start, u_goal: float, tol: float = 1e-9) -> PlanResult:
     """Drive a zero-trace system from ``start`` onto the equilibrium of ``u_goal``.
 
@@ -108,15 +113,10 @@ def hop_plan(sys: LinearControlSystem, start, u_goal: float, tol: float = 1e-9) 
     # In the unit frame the equilibrium line is the real axis, the extreme
     # equilibria are -1 and +1 and a reflection marches by the stride 2.
     unit = sys.unit
-    width = sys.u_max - sys.u_min
-
-    def center_of(u: float) -> float:
-        return (2.0 * u - sys.u_min - sys.u_max) / width
-
     half = sys.half_period
     goal_point = equilibrium(sys, u_goal)
     x0 = unit.to_unit(start)
-    t_goal = center_of(u_goal)
+    t_goal = _unit_centre(sys, u_goal)
     # Tolerances are canonical-frame lengths: unit.length times unit-frame
     # lengths, line coordinates counted from the canonical origin (gamma).
     origin = unit.gamma.real
@@ -155,7 +155,7 @@ def hop_plan(sys: LinearControlSystem, start, u_goal: float, tol: float = 1e-9) 
             (sys.u_max, 1.0),
             (sys.u_min, -1.0),
         ):
-            center = center_of(u_c)
+            center = _unit_centre(sys, u_c)
             t_land = center + side * abs(x0 - center)
             marches = len(march(t_land)[0])
             if best is None or marches < best[0]:
@@ -170,7 +170,7 @@ def hop_plan(sys: LinearControlSystem, start, u_goal: float, tol: float = 1e-9) 
     schedule += hops
 
     if abs(t - t_goal) > point_tol:
-        u_n = sys.u_min + 0.5 * (0.5 * (t + t_goal) + 1.0) * width
+        u_n = sys.u_min + 0.5 * (0.5 * (t + t_goal) + 1.0) * (sys.u_max - sys.u_min)
         u_n = min(max(u_n, sys.u_min), sys.u_max)
         schedule.append((u_n, half))
     return _certified(sys, start, goal_point, schedule)
@@ -215,8 +215,9 @@ def _crossing_search(
     time t = ln(rho/r0)/(zeta eig_real).  The scan follows g along the
     x-curve, unwrapping phi (never g, which moves by more than pi per step
     when |k| is small), and bisects each multiple of 2 pi that g passes.
-    Inside g, t is clamped to the window [0, t_max] plus a slack, so g stays
-    finite at rho = 0.  Returns (s, t, residual) of the first root in scan
+    Where g turns back, the scan is redone with the turn as a scan point, so
+    no step holds two roots of one level.  Inside g, t is clamped to the
+    window [0, t_max] plus a slack, so g stays finite at rho = 0.  Returns (s, t, residual) of the first root in scan
     order whose t lies in the window, or None; the residual is in frame
     units.
     """
@@ -246,13 +247,36 @@ def _crossing_search(
 
     half = math.pi / cf.eig_imag
     n = max(2, int(math.ceil(s_max / half * _SCAN_PER_HALF)))
-    s_grid = np.linspace(0.0, s_max, n + 1)
+    s_grid = np.linspace(0.0, s_max, n + 1).tolist()
 
     s_a = 0.0
     phi_a, t_a, g_a = level(s_a, 0.0)
-    for s_b in s_grid[1:]:
-        s_b = float(s_b)
+    dg_a = 0.0  # g_a minus g at the scan point before s_a
+    i, split_to = 1, 0  # steps i <= split_to are already split at a turn
+    while i < len(s_grid):
+        s_b = s_grid[i]
         phi_b, t_b, g_b = level(s_b, phi_a)
+        dg_b = g_b - g_a
+        if dg_a * dg_b < 0.0 and i > split_to:
+            # g turned back between s_grid[i - 2] and s_b, and passes g_a by
+            # less than |dg_a| + |dg_b| (8 times a parabola's overshoot).  If
+            # a level lies within that, locate the turn by golden section
+            # and rescan from s_grid[i - 2] with it as a scan point.
+            reach = g_a + math.copysign(abs(dg_a) + abs(dg_b), dg_a)
+            if math.floor(reach / two_pi) != math.floor(g_a / two_pi):
+                sign, lo, hi = math.copysign(1.0, dg_a), s_grid[i - 2], s_b
+                for _ in range(80):
+                    m1 = hi - 0.6180339887498949 * (hi - lo)
+                    m2 = lo + 0.6180339887498949 * (hi - lo)
+                    if sign * level(m1, phi_a)[2] < sign * level(m2, phi_a)[2]:
+                        lo = m1
+                    else:
+                        hi = m2
+                s_grid.insert(i - 1 if lo + hi < 2.0 * s_a else i, 0.5 * (lo + hi))
+                split_to, i = i + 1, i - 1
+                s_a = s_grid[i - 1]
+                phi_a, t_a, g_a = level(s_a, phi_a)
+                continue
         if not (max(t_a, t_b) < t_lo or min(t_a, t_b) > t_hi):
             # Multiples of 2 pi between g_a and g_b, in scan order.
             if g_a <= g_b:
@@ -276,7 +300,8 @@ def _crossing_search(
                     t_root = min(max(t_root, 0.0), t_max)
                     y = y_center + spiral_arc(lam, zeta * t_root, rel, 1j * rel)
                     return s_root, t_root, abs(x_of(s_root) - y)
-        s_a, phi_a, t_a, g_a = s_b, phi_b, t_b, g_b
+        s_a, phi_a, t_a, g_a, dg_a = s_b, phi_b, t_b, g_b, dg_b
+        i += 1
     return None
 
 
@@ -317,7 +342,7 @@ def spiral_crossing(
     scale = 1.0 + unit.length * abs(v_w - unit.gamma)
     if abs(v_w + 1.0) * unit.length <= 1e-12 * scale:
         return 0.0, 0.0
-    e_u = (2.0 * u - sys.u_min - sys.u_max) / (sys.u_max - sys.u_min)
+    e_u = _unit_centre(sys, u)
     if window_halfperiods is None:
         # The u-spiral is at least r0 (e^{-er t} - 1) from e_min, beyond the
         # whole forward spiral once t > ln(1 + |v - e_min|/r0)/(-er); two
@@ -348,11 +373,11 @@ def reach_plan(
 
     The target must be interior to the region enclosed by the periodic orbit.
     From the u_min equilibrium, k pairs of extreme half turns (u_max, then
-    u_min) move the line point x_k towards the orbit corner p_minus by the
-    factor q^2 = e^{2 pi eig_real/eig_imag} per pair.  The first k whose
-    u_max half turn from x_k meets the target's backward u_min flow (at arc
-    time t and flow time s) gives the schedule: k pairs, (u_max, t),
-    (u_min, s), exact up to rounding.  Controls never leave {u_min, u_max}.
+    u_min) take it to the pair iterate x_k of :mod:`planarcontrol.planar`.
+    The first k whose u_max half turn from x_k meets the target's backward
+    u_min flow (at arc time t and flow time s) gives the schedule: k pairs,
+    (u_max, t), (u_min, s), exact up to rounding.  Controls never leave
+    {u_min, u_max}.
 
     For a positive trace the plan is computed on the time-reversed system
     (``time_reversed`` is set); a zero trace is rejected.
@@ -370,7 +395,8 @@ def reach_plan(
     Raises
     ------
     TargetNotInterior
-        If the target is not strictly inside the region.
+        If the target's margin is not above 1e-12 * scale (boundary points
+        round to within that band).
     EpsilonTooSmall
         If ``epsilon`` is below the certified error, i.e. below rounding.
     NoIntersectionFound
@@ -382,6 +408,8 @@ def reach_plan(
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
+    if pairs is not None and pairs < 0:
+        raise ValueError("pairs must be nonnegative")
     if is_trace_zero(sys):
         raise TraceZero("reach planning needs a nonzero trace")
     time_reversed = sys.trace > 0.0
@@ -389,7 +417,8 @@ def reach_plan(
     if region is None:
         region = build_orbit_region(work)
     target = as_vector(target)
-    if region.contains(target).verdict is not Membership.INTERIOR:
+    scale = max(1.0, region.scale)
+    if region.margin(target) <= 1e-12 * scale:
         raise TargetNotInterior("reach target must be interior to the region")
 
     # Unit frame: v(u_min) is -1 and v(u_max) is +1; tolerances stay
@@ -397,10 +426,7 @@ def reach_plan(
     unit = work.unit
     er = work.canonical.eig_real
     half = work.half_period
-    q = math.exp(math.pi * unit.k)
     e_min = equilibrium(work, work.u_min)
-    p_minus = unit.to_unit(region.p_minus)
-    scale = max(1.0, region.scale)
     target_w = unit.to_unit(target)
     r_target = abs(target_w + 1.0)
 
@@ -418,12 +444,12 @@ def reach_plan(
         )
 
     if pairs is not None:
-        k, found = pairs, exit_through(p_minus)
+        k, found = pairs, exit_through(-unit.corner)
     else:
         k, x_prev, found = 0, None, None
         while found is None:
             k += 1
-            x = -1.0 - 2.0 * q * (1.0 - q ** (2 * k)) / (1.0 - q)
+            x = unit.pair_iterate(k)
             if x == x_prev:
                 break
             found = exit_through(x)

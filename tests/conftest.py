@@ -118,6 +118,15 @@ def series_expm(a, t: float, terms: int = 80) -> np.ndarray:
     return acc
 
 
+def scaled_expm(a, t: float) -> np.ndarray:
+    """exp(t a) for t >= 0 by the power series, scaled and squared."""
+    j = max(0, math.ceil(math.log2(max(np.abs(a).sum() * t, 1e-300) / 0.25)))
+    m = series_expm(a, t / 2.0**j)
+    for _ in range(j):
+        m = m @ m
+    return m
+
+
 def converged_fixed_points(sys: LinearControlSystem, tol: float = 1e-12):
     """Fixed points via iterate convergence; independent of the closed form."""
     from planarcontrol.system import flow

@@ -1,4 +1,4 @@
-"""Half-turn iterates and fixed points, the periodic orbit, classification, sweep."""
+"""Half-turn pair iterates and fixed points, the periodic orbit, classification, sweep."""
 
 import math
 
@@ -9,7 +9,6 @@ from planarcontrol.controlset import (
     Classification,
     classify,
     half_turn_fixed_points,
-    half_turn_iterates,
     periodic_orbit,
     sweep_control_ranges,
 )
@@ -39,42 +38,67 @@ def _geometric_sum_oracle(sys, n):
     return out
 
 
+def _pair_iterate(sys, n):
+    """The unit frame's pair iterate x_n in original coordinates."""
+    return sys.unit.from_unit(sys.unit.pair_iterate(n))
+
+
+def _pair_replay(sys, n):
+    """2n half turns from v(u_min), alternately under u_max and u_min."""
+    half = sys.half_period
+    v = equilibrium(sys, sys.u_min)
+    for _ in range(n):
+        v = flow(sys, half, flow(sys, half, v, sys.u_max), sys.u_min)
+    return v
+
+
 def test_iterates_start_and_recurrence(s0):
-    iters = half_turn_iterates(s0, 4)
-    np.testing.assert_allclose(iters[0], [0.5, 0.5], atol=1e-15)
-    half = s0.half_period
-    for k in range(1, 5):
-        u = s0.u_min if k % 2 == 1 else s0.u_max
-        step = flow(s0, half, iters[k - 1], u)
-        assert np.linalg.norm(step - iters[k]) < 1e-12
+    assert s0.unit.pair_iterate(0) == -1.0
+    np.testing.assert_allclose(_pair_iterate(s0, 0), [-0.5, -0.5], atol=1e-15)
+    for n in range(1, 5):
+        assert np.linalg.norm(_pair_iterate(s0, n) - _pair_replay(s0, n)) < 1e-12
 
 
 def test_iterates_match_geometric_sums_random():
+    # The oracle's P_2n start at v(u_max) and turn under u_min first: the
+    # mirror w -> -w of the unit frame, which swaps the two controls, takes
+    # them to the pair iterates.
     rng = np.random.default_rng(61)
     for _ in range(200):
         sys = random_system(rng, trace_sign=-1)
-        got = half_turn_iterates(sys, 10)
         expect = _geometric_sum_oracle(sys, 10)
-        for g, e in zip(got, expect):
-            assert np.linalg.norm(g - e) < 1e-9 * (1.0 + np.linalg.norm(e))
+        for n in range(6):
+            got = sys.unit.from_unit(-sys.unit.pair_iterate(n))
+            e = expect[2 * n]
+            assert np.linalg.norm(got - e) < 1e-9 * (1.0 + np.linalg.norm(e))
 
 
 def test_iterates_contract_geometrically(s0):
-    pp, _ = half_turn_fixed_points(s0)
-    iters = half_turn_iterates(s0, 10)
-    base = np.linalg.norm(iters[0] - pp)
+    _, pm = half_turn_fixed_points(s0)
+    base = np.linalg.norm(_pair_iterate(s0, 0) - pm)
     q2 = math.exp(2.0 * math.pi * s0.canonical.eig_real / s0.canonical.eig_imag)
+    # From n = 4 on the gap is below 1e-12, so rounding of the iterate's
+    # coordinates (a few ulps of |p_minus|) counts too.
+    rounding = 8.0 * np.finfo(float).eps * np.linalg.norm(pm)
     for n in range(1, 6):
-        assert np.linalg.norm(iters[2 * n] - pp) <= q2**n * base * (1 + 1e-6)
+        gap = np.linalg.norm(_pair_iterate(s0, n) - pm)
+        assert gap <= q2**n * base * (1 + 1e-6) + rounding
 
 
 def test_iterates_positive_trace_run_time_reversed(s0):
-    rev = s0.time_reversed()
-    # Same limits as the negative-trace system, by construction.
-    got = half_turn_iterates(rev, 6)
-    expect = half_turn_iterates(s0, 6)
-    for g, e in zip(got, expect):
-        np.testing.assert_allclose(g, e, atol=1e-12)
+    # Forward in time a positive-trace system's pair iterates replay its
+    # half turns and run away from the orbit; on its time reversal they
+    # converge to its corner p_plus.
+    pos = s0.time_reversed()
+    for n in range(1, 4):
+        want = _pair_replay(pos, n)
+        assert np.linalg.norm(_pair_iterate(pos, n) - want) < 1e-12 * np.linalg.norm(want)
+    work = pos.time_reversed()
+    pp, _ = half_turn_fixed_points(pos)
+    gaps = [np.linalg.norm(_pair_iterate(work, n) - pp) for n in range(4)]
+    q2 = math.exp(-2.0 * math.pi * pos.canonical.eig_real / pos.canonical.eig_imag)
+    for a, b in zip(gaps, gaps[1:]):
+        assert b == pytest.approx(q2 * a, rel=1e-6, abs=0.0)
 
 
 def test_fixed_points_worked_values(s0):
@@ -120,8 +144,6 @@ def test_fixed_points_displacement_identity():
 def test_fixed_points_reject_trace_zero(t0):
     with pytest.raises(TraceZero):
         half_turn_fixed_points(t0)
-    with pytest.raises(TraceZero):
-        half_turn_iterates(t0, 3)
 
 
 def test_periodic_orbit_closure_and_radii(s0):

@@ -16,9 +16,9 @@ from planarcontrol.errors import (
 )
 from planarcontrol.geometry import build_orbit_region
 from planarcontrol.planner import hop_plan, loop_plan, reach_plan, spiral_crossing
-from planarcontrol.system import LinearControlSystem, equilibrium, flow, simulate
+from planarcontrol.system import LinearControlSystem, equilibrium, flow, flow_many, simulate
 
-from conftest import random_system, random_trace_zero_system, series_expm, systems
+from conftest import random_system, random_trace_zero_system, scaled_expm, systems
 
 EPS = np.finfo(float).eps
 
@@ -187,6 +187,58 @@ def test_reach_plan_rejects_exterior_target(s0):
         reach_plan(s0, region.p_plus, 1e-4, region=region)
 
 
+def test_reach_plan_rejects_negative_pairs(s0):
+    with pytest.raises(ValueError):
+        reach_plan(s0, [0.1, -0.2], 1.0, pairs=-3)
+
+
+def _pulled_targets(sys, region, depth, per_arc=39):
+    """Orbit points, per_arc per arc, each pulled towards the midpoint of the
+    corners until its margin is depth * scale."""
+    s = sys.half_period * np.arange(1, per_arc + 1) / (per_arc + 1)
+    ends = np.vstack([
+        flow_many(sys, s, region.p_plus, sys.u_min),
+        flow_many(sys, s, region.p_minus, sys.u_max),
+    ])
+    centre = 0.5 * (region.p_plus + region.p_minus)
+    lo, hi = np.zeros(len(ends)), np.ones(len(ends))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        deep = region.margins_many(centre + mid[:, None] * (ends - centre)) > depth * region.scale
+        lo, hi = np.where(deep, mid, lo), np.where(deep, hi, mid)
+    return centre + lo[:, None] * (ends - centre)
+
+
+def test_reach_plan_crossing_turns_within_one_scan_step(s0):
+    # Near the orbit's corner this target's backward u_min flow crosses the
+    # u_max half turn twice within one scan step, once inside the arc window
+    # and once just past it, so the level function is on one side of the
+    # level at both ends of the step.
+    target = np.array([0.38979474104685985, 0.5376880567450966])
+    region = build_orbit_region(s0)
+    assert region.margin(target) == pytest.approx(1e-3 * region.scale, rel=0.05)
+    plan = reach_plan(s0, target, 1e-9)
+    assert plan.endpoint_error <= 1e-14 * region.scale
+
+
+def test_reach_plan_depth_sweep_towards_the_boundary(s0):
+    region = build_orbit_region(s0)
+    for depth in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
+        for target in _pulled_targets(s0, region, depth):
+            plan = reach_plan(s0, target, 1e-9 * region.scale, region=region)
+            assert plan.endpoint_error <= 1e-14 * region.scale
+
+
+def test_reach_plan_accepts_targets_near_the_boundary(s0):
+    # Only the rounding band of boundary points (1e-12 * scale) is rejected.
+    for sys in (s0, _slow_system(-0.3, True)):
+        region = build_orbit_region(sys)
+        for depth in (5e-7, 1e-9, 1e-11):
+            for target in _pulled_targets(sys, region, depth, per_arc=3):
+                plan = reach_plan(sys, target, 1e-9 * region.scale, region=region)
+                assert plan.endpoint_error <= 1e-14 * region.scale
+
+
 def test_reach_plan_positive_trace_runs_reversed(s0):
     rev = s0.time_reversed()
     plan = reach_plan(rev, [0.1, 0.1], 1e-4)
@@ -226,15 +278,6 @@ def test_reach_plan_exact_at_slow_contraction(ratio, skewed):
         assert region.margins_many(traj.dense_states).min() >= -1e-12 * scale
 
 
-def _expm(a, dt):
-    """exp(dt a) by the power series, scaled and squared."""
-    j = max(0, math.ceil(math.log2(max(np.abs(a).sum() * dt, 1e-300) / 0.25)))
-    m = series_expm(a, dt / 2.0**j)
-    for _ in range(j):
-        m = m @ m
-    return m
-
-
 # The bounds are about three times the worst of 20,000 random systems of this
 # family, in units of EPS and of the scale: 4.2 for the certified endpoint
 # error and 4.9 for the replay, whose rounding also grows with the phase.
@@ -255,7 +298,7 @@ def test_reach_plan_replays_onto_target(sys, depth, vertex):
     v = plan.start
     for u, dt in plan.schedule:
         center = -u * np.linalg.solve(work.a, work.eta)
-        v = _expm(work.a, dt) @ (v - center) + center
+        v = scaled_expm(work.a, dt) @ (v - center) + center
     phase = abs(work.canonical.lam) * sum(dt for _, dt in plan.schedule)
     assert np.linalg.norm(v - target) <= 16.0 * EPS * ref * (1.0 + phase)
 
