@@ -13,7 +13,6 @@ from .errors import (
     NoIntersectionFound,
     NotComplexSpectrum,
     OffLine,
-    OutOfDomain,
     ParseError,
     PlanarControlError,
     PreconditionViolated,
@@ -39,18 +38,12 @@ from .system import (
     simulate,
 )
 from .geometry import (
-    InvarianceReport,
     Membership,
     MembershipVerdict,
     OrbitRegion,
     SpiralRegion,
-    angle_between,
     build_orbit_region,
-    check_region_invariance,
     polyline_distance,
-    region_contains,
-    tangent_margin,
-    tangent_margin_grid,
 )
 from .controlset import (
     BoundaryOrbit,
@@ -63,10 +56,8 @@ from .controlset import (
 )
 from .planner import PlanResult, hop_plan, loop_plan, reach_plan, spiral_crossing
 from .oracle import (
-    DistanceBoundReport,
     GridSpec,
     ReachSet,
-    check_distance_contraction,
     default_grid_spec,
     grid_reachable_set,
     hausdorff,

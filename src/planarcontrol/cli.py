@@ -86,13 +86,17 @@ def _has_bool(value) -> bool:
 
 
 def _floats(value, key: str) -> np.ndarray:
-    """``value`` as a float array; JSON booleans are not numbers here."""
+    """``value`` as a finite float array; JSON booleans are not numbers here,
+    and neither are the ``Infinity`` and ``NaN`` literals that ``json`` reads."""
     if _has_bool(value):
         raise ValidationError(f"field '{key}' must hold numbers, not booleans")
     try:
-        return np.asarray(value, dtype=float)
+        x = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"field '{key}' must hold numbers") from exc
+    if not np.isfinite(x).all():
+        raise ValidationError(f"field '{key}' must hold finite numbers")
+    return x
 
 
 def _scalar(value, key: str, integral: bool = False) -> float:
@@ -110,8 +114,8 @@ def _vector(doc, key, required=False):
             raise ValidationError(f"missing required field '{key}'")
         return None
     v = _floats(doc[key], key)
-    if v.shape != (2,) or not np.all(np.isfinite(v)):
-        raise ValidationError(f"field '{key}' must be a pair of finite numbers")
+    if v.shape != (2,):
+        raise ValidationError(f"field '{key}' must be a pair of numbers")
     return v
 
 
@@ -150,8 +154,8 @@ def parse_config(text: str) -> SystemConfig:
     if raw_a is None:
         raise ValidationError("missing required field 'a'")
     a = _floats(raw_a, "a")
-    if a.shape != (2, 2) or not np.all(np.isfinite(a)):
-        raise ValidationError("field 'a' must be a 2x2 matrix of finite numbers")
+    if a.shape != (2, 2):
+        raise ValidationError("field 'a' must be a 2x2 matrix")
     eta = _vector(doc, "eta", required=True)
     if eta[0] == 0.0 and eta[1] == 0.0:
         raise ValidationError("eta must be nonzero")
@@ -175,8 +179,6 @@ def parse_config(text: str) -> SystemConfig:
         if key in where:
             value = _scalar(where[key], key, integral)
             setattr(cfg, key, int(value) if integral else value)
-    if cfg.u0 is not None and not math.isfinite(cfg.u0):
-        raise ValidationError("field 'u0' must be finite")
     _check_ranges(cfg)
     if "bounds" in grid:
         b = _floats(grid["bounds"], "grid.bounds")
@@ -433,7 +435,7 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
         }
         emit("plan.json", _json_text(report["plan"]))
         if args.svg is not None:  # the dense trajectory is drawn, never written
-            sim_sys = sys_.time_reversed() if plan.time_reversed else sys_
+            sim_sys = region.work_system if plan.time_reversed else sys_
             traj = simulate(sim_sys, plan.start, plan.schedule)
             svg_layers.append(traj.dense_states)
         svg_markers.extend([plan.start, plan.goal])

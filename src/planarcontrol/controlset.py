@@ -35,8 +35,8 @@ TRACE_ZERO_BAND = 1e-10
 
 
 def is_trace_zero(sys: LinearControlSystem) -> bool:
-    scale = math.sqrt(float(np.sum(sys.a * sys.a)))
-    return abs(sys.trace) <= TRACE_ZERO_BAND * scale
+    # hypot gives ||A||_F without overflow or underflow at any scale.
+    return abs(sys.trace) <= TRACE_ZERO_BAND * math.hypot(*sys.a.ravel().tolist())
 
 
 class Classification(Enum):

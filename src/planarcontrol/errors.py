@@ -33,10 +33,6 @@ class TraceNotZero(PlanarControlError):
     """Operation requires a drift with (numerically) zero trace."""
 
 
-class OutOfDomain(PlanarControlError):
-    """Arguments fall outside the operation's parameter domain."""
-
-
 class PreconditionViolated(PlanarControlError):
     """A geometric precondition of the operation does not hold."""
 

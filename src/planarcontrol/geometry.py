@@ -1,4 +1,4 @@
-"""Spiral-bounded regions, membership tests, and the invariance margin function.
+"""Spiral-bounded regions, exact membership and distance to a boundary polyline.
 
 A spiral region is bounded by the chord line through its centre c and the
 half-turn arc from its other point.  Membership is read in the region's
@@ -27,36 +27,18 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    OutOfDomain,
-    PreconditionViolated,
-    TraceZero,
-    ZeroVector,
-)
-from .planar import (
-    QUARTER_TURN,
-    CanonicalForm,
-    UnitFrame,
-    as_vector,
-    line_coordinate,
-    spiral_arc,
-)
+from .errors import TraceZero
+from .planar import CanonicalForm, UnitFrame, as_vector, line_coordinate
 from .system import LinearControlSystem, equilibrium
 from .controlset import BoundaryOrbit, is_trace_zero, periodic_orbit
 
 __all__ = [
-    "InvarianceReport",
     "Membership",
     "MembershipVerdict",
     "OrbitRegion",
     "SpiralRegion",
-    "angle_between",
     "build_orbit_region",
-    "check_region_invariance",
     "polyline_distance",
-    "region_contains",
-    "tangent_margin",
-    "tangent_margin_grid",
 ]
 
 
@@ -81,32 +63,6 @@ class MembershipVerdict:
     @property
     def is_exterior(self) -> bool:
         return self.verdict is Membership.EXTERIOR
-
-
-def _verdict(margin: float, tol: float) -> MembershipVerdict:
-    if margin > tol:
-        return MembershipVerdict(Membership.INTERIOR, margin)
-    if margin < -tol:
-        return MembershipVerdict(Membership.EXTERIOR, margin)
-    return MembershipVerdict(Membership.BOUNDARY, margin)
-
-
-def angle_between(a, b) -> float:
-    """Angle in [0, pi] between two nonzero vectors.
-
-    Raises
-    ------
-    ZeroVector
-        If either argument has zero norm.
-    """
-    a = as_vector(a)
-    b = as_vector(b)
-    na = math.hypot(a[0], a[1])
-    nb = math.hypot(b[0], b[1])
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("angle requires nonzero vectors")
-    c = float(a @ b) / (na * nb)
-    return math.acos(min(1.0, max(-1.0, c)))
 
 
 @dataclass(frozen=True)
@@ -148,163 +104,6 @@ class SpiralRegion:
         """Full region margin (chord and arc constraints) per point (n,)."""
         w = np.atleast_1d(self.frame.to_unit(points))
         return np.minimum(self._arc_margins(w), self.scale * w.imag)
-
-
-def region_contains(region: SpiralRegion, v, tol: float | None = None) -> MembershipVerdict:
-    """Membership of a point in a spiral region, with signed margin."""
-    if tol is None:
-        tol = 1e-6 * region.scale
-    margin = float(region.margins(as_vector(v))[0])
-    return _verdict(margin, tol)
-
-
-def tangent_margin(cf: CanonicalForm, s: float, tau: float, w1, w2, v1) -> float:
-    """Signed offset of the moving spiral point against one arc tangent.
-
-    All point arguments are canonical-frame vectors with the region base point
-    at the origin: the region is spanned by ``v1`` and 0, ``w2`` lies on the
-    segment (0, v1), and ``w1`` starts the moving spiral.  The value is
-
-        < exp(s Ac)(w1 - w2) + w2 - exp(tau Ac) v1 ,  perp(Ac exp(tau Ac) v1) >
-
-    which is nonnegative on its whole parameter domain when eig_real < 0;
-    that nonnegativity is what the invariance check exercises.
-
-    The domain is ``0 <= s <= (pi - sigma)/eig_imag`` and
-    ``0 <= tau <= pi/eig_imag``, where sigma is the angle between v1 and
-    w1 - w2.
-
-    Raises
-    ------
-    OutOfDomain
-        If (s, tau) falls outside the domain rectangle.
-    PreconditionViolated
-        If w2 is not on the segment (0, v1) or w1 - w2 vanishes.
-    """
-    g = tangent_margin_grid(cf, w1, w2, v1, s_values=[s], tau_values=[tau])
-    return float(g[0, 0])
-
-
-def _check_margin_config(cf: CanonicalForm, w1, w2, v1) -> float:
-    """Validate the (w1, w2, v1) configuration; return sigma."""
-    v1 = as_vector(v1)
-    w1 = as_vector(w1)
-    w2 = as_vector(w2)
-    nv1 = math.hypot(v1[0], v1[1])
-    if nv1 == 0.0:
-        raise PreconditionViolated("v1 must be nonzero")
-    diff = w1 - w2
-    if math.hypot(diff[0], diff[1]) <= 1e-12 * nv1:
-        raise PreconditionViolated("w1 - w2 is numerically zero")
-    coord = float(w2 @ v1) / (nv1 * nv1)
-    off = w2 - coord * v1
-    if math.hypot(off[0], off[1]) > 1e-9 * (1.0 + nv1):
-        raise PreconditionViolated("w2 must lie on the segment (0, v1)")
-    if not -1e-9 <= coord <= 1.0 + 1e-9:
-        raise PreconditionViolated("w2 must lie between 0 and v1")
-    return angle_between(v1, diff)
-
-
-def tangent_margin_grid(
-    cf: CanonicalForm,
-    w1,
-    w2,
-    v1,
-    s_values=None,
-    tau_values=None,
-    s_count: int = 64,
-    tau_count: int = 64,
-) -> np.ndarray:
-    """Tangent margins on a grid of (s, tau); rows index s, columns tau.
-
-    With ``s_values``/``tau_values`` omitted, uses uniform grids over the full
-    domain rectangle; explicit values are validated against it.
-    """
-    v1 = as_vector(v1)
-    w1 = as_vector(w1)
-    w2 = as_vector(w2)
-    sigma = _check_margin_config(cf, w1, w2, v1)
-    s_max = (math.pi - sigma) / cf.eig_imag
-    tau_max = math.pi / cf.eig_imag
-    if s_values is None:
-        s_values = np.linspace(0.0, s_max, s_count)
-    else:
-        s_values = np.asarray(s_values, dtype=float)
-        slack = 1e-9 * (1.0 + tau_max)
-        if np.any(s_values < -slack) or np.any(s_values > s_max + slack):
-            raise OutOfDomain(
-                f"s must lie in [0, {s_max:.6g}] (sigma = {sigma:.6g})"
-            )
-    if tau_values is None:
-        tau_values = np.linspace(0.0, tau_max, tau_count)
-    else:
-        tau_values = np.asarray(tau_values, dtype=float)
-        slack = 1e-9 * (1.0 + tau_max)
-        if np.any(tau_values < -slack) or np.any(tau_values > tau_max + slack):
-            raise OutOfDomain(f"tau must lie in [0, {tau_max:.6g}]")
-    diff = w1 - w2
-    moving = spiral_arc(cf.lam, s_values, diff, diff @ QUARTER_TURN.T) + w2
-    ref = spiral_arc(cf.lam, tau_values, v1, v1 @ QUARTER_TURN.T)  # (nt, 2)
-    tangents = cf.eig_real * ref + cf.eig_imag * (ref @ QUARTER_TURN.T)
-    normals = tangents @ QUARTER_TURN.T  # (nt, 2)
-    return moving @ normals.T - np.sum(ref * normals, axis=1)
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Worst membership margin of a moving spiral sampled over its time span."""
-
-    worst_margin: float
-    worst_s: float
-    sigma: float
-    samples: int
-
-
-def check_region_invariance(
-    region: SpiralRegion, w1, w2, s_samples: int = 128
-) -> InvarianceReport:
-    """Check that a spiral started inside the region stays inside it.
-
-    The spiral around ``w2`` (on the chord) through ``w1`` (in the region) is
-    sampled at ``s_samples`` times spanning ``[0, (pi - sigma)/eig_imag]``,
-    where sigma is the canonical-frame angle between the chord direction and
-    ``w1 - w2``; the report carries the worst membership margin over the
-    samples.
-
-    Raises
-    ------
-    PreconditionViolated
-        If eig_real >= 0, w2 is off the chord segment, w1 - w2 is numerically
-        zero, or w1 lies outside the region.
-    """
-    cf = region.canonical
-    if cf.eig_real >= 0.0:
-        raise PreconditionViolated("invariance requires eig_real < 0")
-    # Frame coordinates: the chord segment is [0, 1] and lengths are in
-    # units of region.scale.
-    a = region.frame.to_unit(as_vector(w1))
-    b = region.frame.to_unit(as_vector(w2))
-    if abs(b.imag) * region.scale > 1e-9 * (1.0 + region.scale):
-        raise PreconditionViolated("w2 must lie on the chord segment")
-    if not -1e-9 <= b.real <= 1.0 + 1e-9:
-        raise PreconditionViolated("w2 must lie between v1 and v2")
-    diff = a - b
-    if abs(diff) < 1e-12:
-        raise PreconditionViolated("w1 - w2 is numerically zero")
-    start = float(region.margins(w1)[0])
-    if start < -1e-6 * region.scale:
-        raise PreconditionViolated("w1 must lie in the region")
-    sigma = abs(math.atan2(diff.imag, diff.real))
-    s = np.linspace(0.0, (math.pi - sigma) / cf.eig_imag, s_samples)
-    moving = b + spiral_arc(cf.lam, s, diff, 1j * diff).ravel()
-    margins = region.margins(region.frame.from_unit(moving))
-    worst = int(np.argmin(margins))
-    return InvarianceReport(
-        worst_margin=float(margins[worst]),
-        worst_s=float(s[worst]),
-        sigma=sigma,
-        samples=s_samples,
-    )
 
 
 @dataclass(frozen=True)
@@ -354,7 +153,12 @@ class OrbitRegion:
         """Membership in the closed enclosed region, with signed margin."""
         if tol is None:
             tol = 1e-6 * self.scale
-        return _verdict(self.margin(v), tol)
+        margin = self.margin(v)
+        if margin > tol:
+            return MembershipVerdict(Membership.INTERIOR, margin)
+        if margin < -tol:
+            return MembershipVerdict(Membership.EXTERIOR, margin)
+        return MembershipVerdict(Membership.BOUNDARY, margin)
 
     def exterior_distance(self, v) -> float:
         """Euclidean distance to the region: 0 unless the point is exterior.

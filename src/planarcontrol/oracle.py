@@ -1,10 +1,9 @@
-"""Brute-force verification: grid reachability, Hausdorff distance, bounds checks.
+"""Brute-force verification: grid reachability and Hausdorff distances.
 
 These are the independent checks against the closed-form constructions: a
 breadth-first occupancy sweep built from exact one-step flows (so dx, dt and
-control sampling are the only error sources), finite-set Hausdorff distances,
-and a randomized check of the exponential distance contraction/expansion
-bounds for exterior points.
+control sampling are the only error sources), and finite-set Hausdorff
+distances.
 """
 
 import math
@@ -13,15 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySet
-from .geometry import OrbitRegion, build_orbit_region, polyline_distance
-from .system import LinearControlSystem, flow
+from .system import LinearControlSystem
 from .controlset import periodic_orbit
 
 __all__ = [
-    "DistanceBoundReport",
     "GridSpec",
     "ReachSet",
-    "check_distance_contraction",
     "default_grid_spec",
     "grid_reachable_set",
     "hausdorff",
@@ -234,110 +230,3 @@ def hausdorff(set_a, set_b) -> float:
         worst = max(worst, float(d2.min(axis=1).max()))
         np.minimum(col_min, d2.min(axis=0), out=col_min)
     return math.sqrt(max(worst, float(col_min.max())))
-
-
-@dataclass(frozen=True)
-class DistanceBoundReport:
-    """Worst slack of the exterior-distance bounds over random samples.
-
-    ``worst_contraction`` / ``worst_expansion`` are the most positive values
-    of (measured - allowed) for the contraction (s * eig_real < 0) and
-    expansion (s * eig_real > 0) inequalities; nonpositive means no violation
-    beyond tolerance.
-    """
-
-    samples: int
-    worst_contraction: float
-    worst_expansion: float
-    violations: int
-    tolerance_base: float
-    polyline_sag: float
-
-
-def _polyline_sag(region: OrbitRegion) -> float:
-    """Upper bound on the gap between the true boundary and its polyline."""
-    orbit = region.orbit
-    work = region.work_system
-    sag = 0.0
-    for arc, u in ((orbit.arc_minus, work.u_min), (orbit.arc_plus, work.u_max)):
-        center = -u * work.inv_a_eta
-        radii = np.linalg.norm(arc - center, axis=1)
-        seg = np.linalg.norm(np.diff(arc, axis=0), axis=1).max()
-        sag = max(sag, seg * seg / (8.0 * float(radii.min())))
-    return sag
-
-
-def check_distance_contraction(
-    sys: LinearControlSystem,
-    samples: int = 1000,
-    rng: np.random.Generator | None = None,
-    region: OrbitRegion | None = None,
-    samples_per_arc: int = 4096,
-) -> DistanceBoundReport:
-    """Randomized check of the exterior-distance flow bounds.
-
-    For random exterior points v, admissible controls u and times s of both
-    signs, verifies (with r = eig_real)
-
-        dist(flow(s, v, u)) <= e^{s r} dist(v) + tol   when s * r < 0,
-        dist(flow(s, v, u)) >= e^{s r} dist(v) - tol   when s * r > 0,
-
-    where dist is the Euclidean distance to the enclosed region and tol is
-    1e-6 plus the polyline resolution bound.  Exact when the drift is normal
-    (the adapted frame's metric is then the ambient one).
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if region is None:
-        region = build_orbit_region(sys, samples_per_arc=samples_per_arc)
-    boundary = region.boundary
-    sag = _polyline_sag(region)
-    xmin, xmax = boundary[:, 0].min(), boundary[:, 0].max()
-    ymin, ymax = boundary[:, 1].min(), boundary[:, 1].max()
-    cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-    hx, hy = 1.5 * (xmax - xmin), 1.5 * (ymax - ymin)
-    er = sys.canonical.eig_real
-    ei = sys.canonical.eig_imag
-    scale = max(1.0, region.scale)
-    tol_base = 1e-6 * scale
-
-    pts = []
-    while len(pts) < samples:
-        cand = np.stack(
-            [
-                rng.uniform(cx - hx, cx + hx, size=4 * samples),
-                rng.uniform(cy - hy, cy + hy, size=4 * samples),
-            ],
-            axis=1,
-        )
-        ext = region.margins_many(cand) < -1e-9 * scale
-        pts.extend(cand[ext])
-    pts = np.array(pts[:samples])
-    us = rng.uniform(sys.u_min, sys.u_max, size=samples)
-    mags = rng.uniform(0.0, 2.0 * math.pi / ei, size=samples)
-    d0 = polyline_distance(pts, boundary)
-
-    worst = {"contract": -math.inf, "expand": -math.inf}
-    violations = 0
-    for s_signed, kind in ((mags, "pos"), (-mags, "neg")):
-        moved = flow(sys, s_signed, pts, us)
-        inside = region.margins_many(moved) >= 0.0
-        d1 = np.where(inside, 0.0, polyline_distance(moved, boundary))
-        factor = np.exp(s_signed * er)
-        tol = tol_base + sag * (1.0 + factor)
-        if (kind == "pos") == (er < 0.0):  # s * er < 0: contraction bound
-            slack = d1 - (factor * d0 + tol)
-            worst["contract"] = max(worst["contract"], float(slack.max()))
-        else:  # s * er > 0: expansion bound
-            slack = (factor * d0 - tol) - d1
-            worst["expand"] = max(worst["expand"], float(slack.max()))
-        violations += int((slack > 0.0).sum())
-    return DistanceBoundReport(
-        samples=samples,
-        worst_contraction=worst["contract"],
-        worst_expansion=worst["expand"],
-        violations=violations,
-        tolerance_base=tol_base,
-        polyline_sag=sag,
-    )
-

@@ -224,7 +224,9 @@ def canonicalize(a, tol: float = 1e-12) -> CanonicalForm:
     """Compute the rotation-scaling normal form of ``a``.
 
     Requires discriminant < -tol * ||a||_F^2; matrices inside that band are
-    rejected rather than guessed.
+    rejected rather than guessed.  The test and the eigenvalues are computed
+    on ``a / 2^e`` with its largest entry in [1, 2): the scaling is exact, so
+    nothing overflows or underflows at any scale and every bit is kept.
 
     The basis is built from the generator ``N = (A - eig_real I) / eig_imag``
     (which satisfies N^2 = -I): columns ``(e, N e)`` with ``e = (1, 0)``
@@ -239,15 +241,17 @@ def canonicalize(a, tol: float = 1e-12) -> CanonicalForm:
         If the discriminant is not below the rejection band.
     """
     m = as_matrix(a)
-    disc = discriminant(m)
-    scale2 = float(np.sum(m * m))
-    if disc >= -tol * max(scale2, 1e-300):
+    big = float(np.abs(m).max())
+    s = math.ldexp(1.0, math.frexp(big)[1] - 1) if big > 0.0 else 1.0
+    (p, q), (r, t) = (m / s).tolist()
+    disc = (p + t) * (p + t) - 4.0 * (p * t - q * r)
+    if disc >= -tol * (p * p + q * q + r * r + t * t):
         raise NotComplexSpectrum(
-            f"discriminant {disc:.6g} is not negative beyond tolerance; "
+            f"discriminant {disc * s * s:.6g} is not negative beyond tolerance; "
             "complex eigenvalue pair required"
         )
-    eig_real = 0.5 * (m[0, 0] + m[1, 1])
-    eig_imag = 0.5 * math.sqrt(-disc)
+    eig_real = 0.5 * (p + t) * s
+    eig_imag = 0.5 * math.sqrt(-disc) * s
     gen = (m - eig_real * np.eye(2)) / eig_imag
     col2 = gen[:, 0]  # N @ (1, 0)
     det = col2[1]  # cross((1,0), col2)

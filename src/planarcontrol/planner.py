@@ -390,7 +390,7 @@ def reach_plan(
         Measurement mode: exactly ``pairs`` pairs, then the exit arc of the
         limit orbit, so the error decays like q^(2 pairs); no epsilon check.
     region : OrbitRegion, optional
-        The region of the system (time-reversed for a positive trace).
+        The region of the system; the plan runs on its ``work_system``.
 
     Raises
     ------
@@ -413,9 +413,9 @@ def reach_plan(
     if is_trace_zero(sys):
         raise TraceZero("reach planning needs a nonzero trace")
     time_reversed = sys.trace > 0.0
-    work = sys.time_reversed() if time_reversed else sys
     if region is None:
-        region = build_orbit_region(work)
+        region = build_orbit_region(sys)
+    work = region.work_system
     target = as_vector(target)
     scale = max(1.0, region.scale)
     if region.margin(target) <= 1e-12 * scale:

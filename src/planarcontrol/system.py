@@ -7,13 +7,14 @@ piecewise-constant controls are concatenations of exact arcs: no ODE
 integration happens anywhere in this package.
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidControl
+from .errors import DegenerateSpiral, InvalidControl
 from .planar import CanonicalForm, UnitFrame, as_matrix, as_vector, canonicalize, spiral_arc
 
 __all__ = [
@@ -28,6 +29,10 @@ __all__ = [
 ]
 
 
+# Smallest normal float: a subnormal det A has lost the digits of A^-1 eta.
+_TINY = float(np.finfo(float).tiny)
+
+
 class ControlRangeWarning(UserWarning):
     """A control value outside the admissible range was accepted."""
 
@@ -37,9 +42,12 @@ class LinearControlSystem:
     """Planar linear control system ``v' = A v + u eta``, u in [u_min, u_max].
 
     The drift must have a complex eigenvalue pair (hence det A > 0 and A is
-    invertible).  Canonical data, A^-1 eta and the unit frame (the canonical
-    complex frame with v(u_min) at -1 and v(u_max) at +1) are computed once
-    and cached; instances are immutable and safe to share across threads.
+    invertible).  A ValueError rejects data that floats cannot carry: a
+    control range, det A, equilibria or unit frame that overflows, a
+    subnormal det A, or extreme equilibria that round to one point.
+    Canonical data, A^-1 eta and the unit frame (the canonical complex frame
+    with v(u_min) at -1 and v(u_max) at +1) are computed once and cached;
+    instances are immutable and safe to share across threads.
     Equality and hashing are by identity (the fields are arrays), so a
     system can key a dict or a cache.
     """
@@ -63,17 +71,30 @@ class LinearControlSystem:
         object.__setattr__(self, "u_max", float(self.u_max))
         if not self.u_min < self.u_max:
             raise ValueError("control range requires u_min < u_max")
+        if not math.isfinite(self.u_max - self.u_min) or not math.isfinite(self.u_max + self.u_min):
+            raise ValueError("control range out of floating-point range")
         if eta[0] == 0.0 and eta[1] == 0.0:
             raise ValueError("control vector eta must be nonzero")
         cf = canonicalize(a)  # raises NotComplexSpectrum otherwise
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        adj = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+        (a00, a01), (a10, a11) = a.tolist()
+        det = a00 * a11 - a01 * a10
+        if not _TINY <= abs(det) < math.inf:
+            raise ValueError("det A out of floating-point range")
+        adj = np.array([[a11, -a01], [-a10, a00]])
         inv_a_eta = (adj @ eta) / det
         inv_a_eta.setflags(write=False)
+        if not math.isfinite(max(abs(self.u_min), abs(self.u_max)) * float(np.abs(inv_a_eta).max())):
+            raise ValueError("extreme equilibria out of floating-point range")
         object.__setattr__(self, "canonical", cf)
         object.__setattr__(self, "inv_a_eta", inv_a_eta)
         mid = -0.5 * (self.u_min + self.u_max) * inv_a_eta
-        object.__setattr__(self, "unit", cf.frame(mid, -self.u_max * inv_a_eta))
+        try:
+            unit = cf.frame(mid, -self.u_max * inv_a_eta)
+        except DegenerateSpiral as exc:
+            raise ValueError("extreme equilibria coincide") from exc
+        if not all(map(cmath.isfinite, (unit.alpha, unit.beta, unit.gamma, unit.length))):
+            raise ValueError("unit frame out of floating-point range")
+        object.__setattr__(self, "unit", unit)
 
     @property
     def trace(self) -> float:

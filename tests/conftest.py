@@ -1,6 +1,7 @@
 """Shared fixtures, random system samplers, and independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,17 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from planarcontrol.system import LinearControlSystem
+
+# On a failing property test, hypothesis's pytest plugin imports its patching
+# module, whose libcst import raises a DeprecationWarning; with warnings as
+# errors that ends the run in INTERNALERROR.  Import it once, warning ignored,
+# so a failure reports like any other.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic.

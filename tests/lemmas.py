@@ -1,0 +1,179 @@
+"""Numerical checks of the proof's lemmas, used as test oracles.
+
+The package decides membership with the closed-form log-spiral margin; these
+helpers check the steps behind it on samples: the tangent margin of a moving
+spiral is nonnegative, a spiral region is invariant, and the distance to the
+enclosed region contracts (or expands) at the rate e^{s eig_real}.
+"""
+
+import math
+
+import numpy as np
+
+from planarcontrol.errors import PreconditionViolated, ZeroVector
+from planarcontrol.geometry import Membership, build_orbit_region, polyline_distance
+from planarcontrol.planar import QUARTER_TURN, as_vector, spiral_arc
+from planarcontrol.system import flow
+
+
+class OutOfDomain(ValueError):
+    """(s, tau) falls outside the tangent margin's domain rectangle."""
+
+
+def angle_between(a, b) -> float:
+    """Angle in [0, pi] between two nonzero vectors; ZeroVector otherwise."""
+    a = as_vector(a)
+    b = as_vector(b)
+    na = math.hypot(a[0], a[1])
+    nb = math.hypot(b[0], b[1])
+    if na == 0.0 or nb == 0.0:
+        raise ZeroVector("angle requires nonzero vectors")
+    c = float(a @ b) / (na * nb)
+    return math.acos(min(1.0, max(-1.0, c)))
+
+
+def spiral_membership(region, v) -> Membership:
+    """Membership of a point in a SpiralRegion, boundary within 1e-6 * scale."""
+    margin = float(region.margins(as_vector(v))[0])
+    tol = 1e-6 * region.scale
+    if margin > tol:
+        return Membership.INTERIOR
+    if margin < -tol:
+        return Membership.EXTERIOR
+    return Membership.BOUNDARY
+
+
+def tangent_margin_grid(cf, w1, w2, v1, s_values=None, tau_values=None, s_count=64, tau_count=64):
+    """Tangent margins on a grid of (s, tau); rows index s, columns tau.
+
+    All points are canonical-frame vectors with the region base point at the
+    origin: the region is spanned by ``v1`` and 0, ``w2`` lies on the segment
+    (0, v1), and ``w1`` starts the moving spiral.  The value is
+
+        < exp(s Ac)(w1 - w2) + w2 - exp(tau Ac) v1 ,  perp(Ac exp(tau Ac) v1) >,
+
+    nonnegative on its domain when eig_real < 0.  The domain is
+    0 <= s <= (pi - sigma)/eig_imag, sigma the angle between v1 and w1 - w2,
+    and 0 <= tau <= pi/eig_imag; omitted values span it uniformly.  Raises
+    PreconditionViolated for a bad (w1, w2, v1) and OutOfDomain for values
+    outside the domain.
+    """
+    v1, w1, w2 = as_vector(v1), as_vector(w1), as_vector(w2)
+    nv1 = math.hypot(v1[0], v1[1])
+    if nv1 == 0.0:
+        raise PreconditionViolated("v1 must be nonzero")
+    diff = w1 - w2
+    if math.hypot(diff[0], diff[1]) <= 1e-12 * nv1:
+        raise PreconditionViolated("w1 - w2 is numerically zero")
+    coord = float(w2 @ v1) / (nv1 * nv1)
+    off = w2 - coord * v1
+    if math.hypot(off[0], off[1]) > 1e-9 * (1.0 + nv1) or not -1e-9 <= coord <= 1.0 + 1e-9:
+        raise PreconditionViolated("w2 must lie on the segment (0, v1)")
+    tau_max = math.pi / cf.eig_imag
+    slack = 1e-9 * (1.0 + tau_max)
+    axes = []
+    for values, count, top in (
+        (s_values, s_count, (math.pi - angle_between(v1, diff)) / cf.eig_imag),
+        (tau_values, tau_count, tau_max),
+    ):
+        if values is None:
+            values = np.linspace(0.0, top, count)
+        values = np.asarray(values, dtype=float)
+        if np.any(values < -slack) or np.any(values > top + slack):
+            raise OutOfDomain(f"value outside [0, {top:.6g}]")
+        axes.append(values)
+    moving = spiral_arc(cf.lam, axes[0], diff, diff @ QUARTER_TURN.T) + w2
+    ref = spiral_arc(cf.lam, axes[1], v1, v1 @ QUARTER_TURN.T)  # (nt, 2)
+    tangents = cf.eig_real * ref + cf.eig_imag * (ref @ QUARTER_TURN.T)
+    normals = tangents @ QUARTER_TURN.T  # (nt, 2)
+    return moving @ normals.T - np.sum(ref * normals, axis=1)
+
+
+def tangent_margin(cf, s, tau, w1, w2, v1) -> float:
+    """One value of :func:`tangent_margin_grid`."""
+    return float(tangent_margin_grid(cf, w1, w2, v1, [s], [tau])[0, 0])
+
+
+def worst_invariance_margin(region, w1, w2, s_samples: int = 128) -> float:
+    """Worst region margin of the spiral about ``w2`` through ``w1``.
+
+    ``w2`` lies on the chord and ``w1`` in the region; the spiral is sampled
+    at ``s_samples`` times over [0, (pi - sigma)/eig_imag], sigma the angle
+    between the chord and w1 - w2.  Raises PreconditionViolated if
+    eig_real >= 0, w2 is off the chord segment, w1 - w2 is numerically zero
+    or w1 is outside the region.
+    """
+    cf = region.canonical
+    if cf.eig_real >= 0.0:
+        raise PreconditionViolated("invariance requires eig_real < 0")
+    # Frame coordinates: the chord segment is [0, 1], lengths in units of scale.
+    a = region.frame.to_unit(as_vector(w1))
+    b = region.frame.to_unit(as_vector(w2))
+    if abs(b.imag) * region.scale > 1e-9 * (1.0 + region.scale) or not -1e-9 <= b.real <= 1.0 + 1e-9:
+        raise PreconditionViolated("w2 must lie on the chord segment")
+    diff = a - b
+    if abs(diff) < 1e-12:
+        raise PreconditionViolated("w1 - w2 is numerically zero")
+    if region.margins(w1)[0] < -1e-6 * region.scale:
+        raise PreconditionViolated("w1 must lie in the region")
+    sigma = abs(math.atan2(diff.imag, diff.real))
+    s = np.linspace(0.0, (math.pi - sigma) / cf.eig_imag, s_samples)
+    moving = b + spiral_arc(cf.lam, s, diff, 1j * diff).ravel()
+    return float(region.margins(region.frame.from_unit(moving)).min())
+
+
+def distance_bound_slack(sys, samples, rng, samples_per_arc: int = 4096):
+    """Randomized check of the exterior-distance flow bounds.
+
+    For random exterior points v, controls u and times s of both signs, with
+    r = eig_real and dist the distance to the enclosed region,
+
+        dist(flow(s, v, u)) <= e^{s r} dist(v) + tol   when s * r < 0,
+        dist(flow(s, v, u)) >= e^{s r} dist(v) - tol   when s * r > 0,
+
+    where tol is 1e-6 * scale plus the polyline's sag bound.  Exact for a
+    normal drift.  Returns (violations, worst_contraction, worst_expansion),
+    the worsts being the largest (measured - allowed) of each inequality.
+    """
+    region = build_orbit_region(sys, samples_per_arc=samples_per_arc)
+    boundary = region.boundary
+    work = region.work_system
+    # Sag bound of the boundary polyline: seg^2 / (8 * smallest radius).
+    sag = 0.0
+    for arc, u in ((region.orbit.arc_minus, work.u_min), (region.orbit.arc_plus, work.u_max)):
+        radii = np.linalg.norm(arc + u * work.inv_a_eta, axis=1)
+        seg = np.linalg.norm(np.diff(arc, axis=0), axis=1).max()
+        sag = max(sag, seg * seg / (8.0 * float(radii.min())))
+    lo, hi = boundary.min(axis=0), boundary.max(axis=0)
+    centre, half = 0.5 * (lo + hi), 1.5 * (hi - lo)
+    er = sys.canonical.eig_real
+    scale = max(1.0, region.scale)
+
+    pts = []
+    while len(pts) < samples:
+        cand = np.stack(
+            [rng.uniform(centre[i] - half[i], centre[i] + half[i], size=4 * samples) for i in (0, 1)],
+            axis=1,
+        )
+        pts.extend(cand[region.margins_many(cand) < -1e-9 * scale])
+    pts = np.array(pts[:samples])
+    us = rng.uniform(sys.u_min, sys.u_max, size=samples)
+    mags = rng.uniform(0.0, 2.0 * math.pi / sys.canonical.eig_imag, size=samples)
+    d0 = polyline_distance(pts, boundary)
+
+    worst_contraction = worst_expansion = -math.inf
+    violations = 0
+    for s in (mags, -mags):
+        moved = flow(sys, s, pts, us)
+        inside = region.margins_many(moved) >= 0.0
+        d1 = np.where(inside, 0.0, polyline_distance(moved, boundary))
+        factor = np.exp(s * er)
+        tol = 1e-6 * scale + sag * (1.0 + factor)
+        if (s is mags) == (er < 0.0):  # s * er < 0: contraction bound
+            slack = d1 - (factor * d0 + tol)
+            worst_contraction = max(worst_contraction, float(slack.max()))
+        else:  # s * er > 0: expansion bound
+            slack = (factor * d0 - tol) - d1
+            worst_expansion = max(worst_expansion, float(slack.max()))
+        violations += int((slack > 0.0).sum())
+    return violations, worst_contraction, worst_expansion

@@ -57,6 +57,15 @@ def _run(tmp_path, command, doc, *extra):
         ("plan", {"epsilom": 1e-9}),
         ("reach", {"grid": {"dtt": 0.5}}),
         ("sweep", {"sweep": {"nu": 0.0, "grid": [[-1.0, 1.0]], "steps": 4}}),
+        # json reads the Infinity literal; non-finite numbers are rejected.
+        ("reach", {"grid": {"bounds": [-1, float("inf"), -1, 1]}}),
+        ("sweep", {"sweep": {"nu": float("inf"), "grid": [[-1.0, 1.0]]}}),
+        ("sweep", {"sweep": {"nu": 0.0, "grid": [[-1.0, float("inf")]]}}),
+        # Finite fields whose system is degenerate or not representable.
+        ("analyze", {"eta": [5e-324, 0.0]}),
+        ("analyze", {"omega": [0.0, 5e-324]}),
+        ("analyze", {"omega": [-1e308, 1e308]}),
+        ("plan", {"omega": [1e308, 1.7e308]}),
     ],
 )
 def test_malformed_field_exits_2_without_artifacts(tmp_path, capsys, command, change):

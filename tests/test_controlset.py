@@ -276,3 +276,20 @@ def test_random_trace_zero_sampler_classifies_zero():
     for _ in range(20):
         sys = random_trace_zero_system(rng, normal=bool(rng.integers(0, 2)))
         assert classify(sys) is Classification.CONTROLLABLE_TRACE_ZERO
+
+
+@pytest.mark.parametrize("c", [1e160, 1e200, 1e300, 1e-160, 1e-200, 1e-300])
+def test_extreme_drift_scale_is_closed_or_rejected(c):
+    # Naively, ||c A||_F and the discriminant overflow (or underflow) here.
+    a = c * np.array([[-1.0, -1.0], [1.0, -1.0]])
+    try:
+        sys = LinearControlSystem(a, [1.0, 0.0], -1.0, 1.0)
+    except ValueError:
+        return
+    assert classify(sys) is Classification.CLOSED_CONTROL_SET
+
+
+def test_trace_zero_band_is_scale_free():
+    # ||A||_F overflows, det A does not: a closed set, not a zero trace.
+    sys = LinearControlSystem([[-1e150, -1e155], [1e150, -1e150]], [1.0, 0.0], -1.0, 1.0)
+    assert classify(sys) is Classification.CLOSED_CONTROL_SET

@@ -5,22 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from planarcontrol.errors import (
-    OutOfDomain,
-    PreconditionViolated,
-    TraceZero,
-    ZeroVector,
-)
+from planarcontrol.errors import PreconditionViolated, TraceZero, ZeroVector
 from planarcontrol.geometry import (
     Membership,
     SpiralRegion,
-    angle_between,
     build_orbit_region,
-    check_region_invariance,
     polyline_distance,
-    region_contains,
-    tangent_margin,
-    tangent_margin_grid,
 )
 from planarcontrol.planar import (
     QUARTER_TURN,
@@ -35,6 +25,14 @@ from conftest import (
     random_normal_system,
     random_system,
     series_expm,
+)
+from lemmas import (
+    OutOfDomain,
+    angle_between,
+    spiral_membership,
+    tangent_margin,
+    tangent_margin_grid,
+    worst_invariance_margin,
 )
 
 
@@ -78,13 +76,13 @@ def test_region_contains_examples(unit_region):
     v1 = unit_region.v1
     mid = 0.5 * (unit_region.v1 + unit_region.v2)
     reflected = unit_region.v2 - np.array([0.0, 1.0])  # across the chord line
-    assert region_contains(unit_region, v1).verdict is Membership.BOUNDARY
-    assert region_contains(unit_region, mid).verdict is Membership.BOUNDARY
-    assert region_contains(unit_region, reflected).verdict is Membership.EXTERIOR
+    assert spiral_membership(unit_region, v1) is Membership.BOUNDARY
+    assert spiral_membership(unit_region, mid) is Membership.BOUNDARY
+    assert spiral_membership(unit_region, reflected) is Membership.EXTERIOR
 
 
 def test_region_contains_interior_point(unit_region):
-    assert region_contains(unit_region, [0.4, 0.1]).verdict is Membership.INTERIOR
+    assert spiral_membership(unit_region, [0.4, 0.1]) is Membership.INTERIOR
 
 
 def test_angle_between_examples():
@@ -117,10 +115,9 @@ def test_tangent_margin_grid_nonnegative_for_admissible_data(canonical_cf):
 def test_spec_example_point_is_not_admissible(unit_region):
     # Radius sqrt(0.34) ~ 0.58310 exceeds the boundary radius ~ 0.58248 at
     # its polar angle, so the proposition's precondition rejects it.
-    verdict = region_contains(unit_region, [0.5, 0.3])
-    assert verdict.verdict is Membership.EXTERIOR
+    assert spiral_membership(unit_region, [0.5, 0.3]) is Membership.EXTERIOR
     with pytest.raises(PreconditionViolated):
-        check_region_invariance(unit_region, [0.5, 0.3], [0.5, 0.0])
+        worst_invariance_margin(unit_region, [0.5, 0.3], [0.5, 0.0])
 
 
 def test_tangent_margin_regression_value(canonical_cf):
@@ -167,8 +164,8 @@ def test_tangent_margin_nonnegative_random_configurations():
 
 def test_invariance_boundary_spiral(unit_region):
     # w1 = v1, w2 = v2: the moving spiral IS the region boundary arc.
-    report = check_region_invariance(unit_region, unit_region.v1, unit_region.v2)
-    assert report.worst_margin == pytest.approx(0.0, abs=1e-9)
+    worst = worst_invariance_margin(unit_region, unit_region.v1, unit_region.v2)
+    assert worst == pytest.approx(0.0, abs=1e-9)
 
 
 def test_invariance_random_regions():
@@ -182,8 +179,7 @@ def test_invariance_random_regions():
             region.canonical.to_canonical(w1) - region.canonical.to_canonical(w2)
         ) < 1e-9 * region.scale:
             continue
-        report = check_region_invariance(region, w1, w2, s_samples=96)
-        assert report.worst_margin >= -1e-9
+        assert worst_invariance_margin(region, w1, w2, s_samples=96) >= -1e-9
 
 
 def test_invariance_endpoint_lands_on_chord_interval(unit_region):
@@ -209,14 +205,14 @@ def test_invariance_endpoint_lands_on_chord_interval(unit_region):
 
 def test_invariance_precondition_checks(unit_region):
     with pytest.raises(PreconditionViolated):
-        check_region_invariance(unit_region, [0.4, 0.1], [0.5, 0.2])  # w2 off chord
+        worst_invariance_margin(unit_region, [0.4, 0.1], [0.5, 0.2])  # w2 off chord
     with pytest.raises(PreconditionViolated):
-        check_region_invariance(unit_region, [0.5, 0.0], [0.5, 0.0])  # zero diff
+        worst_invariance_margin(unit_region, [0.5, 0.0], [0.5, 0.0])  # zero diff
     grow = SpiralRegion(
         np.array([1.0, 0.0]), np.zeros(2), canonicalize([[0.5, -1.0], [1.0, 0.5]])
     )
     with pytest.raises(PreconditionViolated):
-        check_region_invariance(grow, [0.2, 0.1], [0.5, 0.0])  # eig_real > 0
+        worst_invariance_margin(grow, [0.2, 0.1], [0.5, 0.0])  # eig_real > 0
 
 
 def test_build_orbit_region_worked_values(s0):

@@ -9,7 +9,6 @@ from planarcontrol.errors import EmptySet
 from planarcontrol.geometry import build_orbit_region, polyline_distance
 from planarcontrol.oracle import (
     GridSpec,
-    check_distance_contraction,
     default_grid_spec,
     grid_reachable_set,
     hausdorff,
@@ -21,6 +20,7 @@ from conftest import (
     random_system,
     random_trace_zero_system,
 )
+from lemmas import distance_bound_slack
 
 
 def test_singleton_control_at_equilibrium_occupies_only_source(s0):
@@ -292,17 +292,19 @@ def test_distance_bound_interior_point_trivial(s0):
 
 
 def test_distance_bound_report_no_violations(s0):
-    report = check_distance_contraction(s0, samples=400, rng=np.random.default_rng(5))
-    assert report.violations == 0
-    assert report.worst_contraction <= 0.0
-    assert report.worst_expansion <= 0.0
+    violations, worst_contraction, worst_expansion = distance_bound_slack(
+        s0, samples=400, rng=np.random.default_rng(5)
+    )
+    assert violations == 0
+    assert worst_contraction <= 0.0
+    assert worst_expansion <= 0.0
 
 
 def test_distance_bound_random_normal_systems():
     rng = np.random.default_rng(127)
     for _ in range(5):
         sys = random_normal_system(rng, trace_sign=int(rng.choice([-1, 1])))
-        report = check_distance_contraction(
+        violations, _, _ = distance_bound_slack(
             sys, samples=150, rng=rng, samples_per_arc=2048
         )
-        assert report.violations == 0
+        assert violations == 0

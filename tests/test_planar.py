@@ -70,6 +70,20 @@ def test_canonicalize_rejects_real_spectrum():
         canonicalize([[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_canonicalize_is_exact_under_power_of_two_scaling():
+    # The discriminant of 2^±600 A over- or underflows when formed directly.
+    a = np.array([[-0.7, -1.3], [0.9, -0.2]])
+    cf = canonicalize(a)
+    for e in (-600, 600):
+        scaled = canonicalize(a * 2.0**e)
+        assert scaled.eig_real == cf.eig_real * 2.0**e
+        assert scaled.eig_imag == cf.eig_imag * 2.0**e
+        assert np.array_equal(scaled.basis, cf.basis)
+    # tr A overflows, tr A / 2 does not.
+    big = canonicalize([[-1e308, -1e308], [1e308, -1e308]])
+    assert big.eig_real == -1e308 and np.isfinite(big.basis).all()
+
+
 def test_reconstruction_roundtrip_random():
     rng = np.random.default_rng(11)
     for _ in range(1000):

@@ -249,6 +249,23 @@ def test_reach_plan_positive_trace_runs_reversed(s0):
     assert np.linalg.norm(traj.endpoint - plan.endpoint) < 1e-9
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_reach_plan_runs_on_the_regions_work_system(s0, monkeypatch, reverse):
+    sys = s0.time_reversed() if reverse else s0
+    target = [0.1, -0.2]
+    plain = reach_plan(sys, target, 1e-9)
+    region = build_orbit_region(sys)
+
+    def no_second_system(self):
+        raise AssertionError("reach_plan rebuilt the time-reversed system")
+
+    monkeypatch.setattr(LinearControlSystem, "time_reversed", no_second_system)
+    with_region = reach_plan(sys, target, 1e-9, region=region)
+    assert with_region.time_reversed is plain.time_reversed is reverse
+    assert with_region.schedule == plain.schedule
+    assert np.array_equal(with_region.endpoint, plain.endpoint)
+
+
 def _slow_system(ratio, skewed):
     """eig_real/eig_imag = ratio; normal and counter-clockwise, or clockwise
     in a skewed basis."""

@@ -30,6 +30,23 @@ def test_system_validation():
         LinearControlSystem([[-1, -1], [1, -1]], [0, 0], -1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "a, eta, omega",
+    [
+        ([[-1, -1], [1, -1]], [5e-324, 0], (-1.0, 1.0)),  # equilibria round to 0
+        ([[-1, -1], [1, -1]], [1, 0], (0.0, 5e-324)),
+        ([[-1, -1], [1, -1]], [1e-310, 0], (-1.0, 1.0)),  # the unit frame overflows
+        ([[-1, -1], [1, -1]], [1, 0], (-1e308, 1e308)),  # u_max - u_min overflows
+        ([[-1, -1], [1, -1]], [1, 0], (1e308, 1.7e308)),  # the midpoint overflows
+        ([[-1e160, -1e160], [1e160, -1e160]], [1, 0], (-1.0, 1.0)),  # det A overflows
+        ([[-1e-160, -1e-160], [1e-160, -1e-160]], [1, 0], (-1.0, 1.0)),  # subnormal det
+    ],
+)
+def test_system_rejects_unrepresentable_data(a, eta, omega):
+    with pytest.raises(ValueError):
+        LinearControlSystem(a, eta, *omega)
+
+
 def test_systems_compare_and_hash_by_identity(s0):
     twin = LinearControlSystem(s0.a, s0.eta, s0.u_min, s0.u_max)
     assert s0 == s0 and s0 != twin
