@@ -26,7 +26,6 @@ from .planar import (
     CanonicalForm,
     UnitFrame,
     canonicalize,
-    discriminant,
     line_coordinate,
 )
 from .system import (

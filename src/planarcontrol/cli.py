@@ -1,16 +1,17 @@
 """Command-line frontend: parse a system config, run analyses, emit artifacts.
 
-Subcommands: analyze, orbit, member, plan, reach, sweep.  The config is a
-single JSON document (no environment variables), outputs are JSON/CSV files
-written atomically plus an optional SVG, and float serialization uses the
-shortest round-trip decimal so reruns are byte-identical.
+Subcommands: analyze, orbit, member, plan, reach, sweep.  The config, a
+single JSON document, is the only input of a run: the command line adds just
+the output directory (``--out``) and an optional SVG path (``--svg``), and no
+environment variable is read.  Outputs are JSON/CSV files written atomically
+plus the optional SVG, and float serialization uses the shortest round-trip
+decimal so reruns are byte-identical.
 
 Exit codes: 0 success; 2 config or system validation failure; 3 planner
 failure; 4 I/O failure.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -124,6 +125,17 @@ _KEYS = ("a", "A", "eta", "omega", "samples", "epsilon", "seed", "u0", "grid",
          "point", "start", "target", "sweep")
 
 
+# Range of each tunable field, checked once the config is read.
+_RANGES = (
+    ("samples", lambda v: 16 <= v <= 1 << 20, "from 16 to 2^20"),
+    ("epsilon", lambda v: v > 0.0, "positive"),
+    ("seed", lambda v: v >= 0, "nonnegative"),
+    ("dx", lambda v: v > 0.0, "positive"),
+    ("dt", lambda v: v > 0.0, "positive"),
+    ("horizon", lambda v: v > 0.0, "positive"),
+)
+
+
 def _reject_unknown(doc: dict, known: tuple, prefix: str = "") -> None:
     """A misspelled key would silently leave its field at the default."""
     for key in doc:
@@ -179,7 +191,10 @@ def parse_config(text: str) -> SystemConfig:
         if key in where:
             value = _scalar(where[key], key, integral)
             setattr(cfg, key, int(value) if integral else value)
-    _check_ranges(cfg)
+    for key, ok, rule in _RANGES:
+        value = getattr(cfg, key)
+        if not (math.isfinite(value) and ok(value)):
+            raise ValidationError(f"field '{key}' must be finite and {rule}")
     if "bounds" in grid:
         b = _floats(grid["bounds"], "grid.bounds")
         if b.shape != (4,):
@@ -202,25 +217,6 @@ def parse_config(text: str) -> SystemConfig:
             (_scalar(a, "sweep.grid"), _scalar(b, "sweep.grid")) for a, b in pairs
         ]
     return cfg
-
-
-# Range of each tunable field, checked after the config is read and again
-# after command-line overrides.
-_RANGES = (
-    ("samples", lambda v: v >= 16, "at least 16"),
-    ("epsilon", lambda v: v > 0.0, "positive"),
-    ("seed", lambda v: v >= 0, "nonnegative"),
-    ("dx", lambda v: v > 0.0, "positive"),
-    ("dt", lambda v: v > 0.0, "positive"),
-    ("horizon", lambda v: v > 0.0, "positive"),
-)
-
-
-def _check_ranges(cfg: SystemConfig) -> None:
-    for key, ok, rule in _RANGES:
-        value = getattr(cfg, key)
-        if not (math.isfinite(value) and ok(value)):
-            raise ValidationError(f"field '{key}' must be finite and {rule}")
 
 
 def build_system(cfg: SystemConfig) -> LinearControlSystem:
@@ -329,17 +325,6 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
     asked for, succeeded, so a failing run leaves no files.
     """
     sys_ = build_system(cfg)
-    overrides = {
-        "samples": args.samples,
-        "epsilon": args.epsilon,
-        "dx": args.grid_dx,
-        "dt": args.grid_dt,
-        "horizon": args.horizon,
-    }
-    cfg = dataclasses.replace(
-        cfg, **{k: v for k, v in overrides.items() if v is not None}
-    )
-    _check_ranges(cfg)
     samples, epsilon = cfg.samples, cfg.epsilon
     dx, dt, horizon = cfg.dx, cfg.dt, cfg.horizon
     kind = classify(sys_)
@@ -560,11 +545,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to the JSON config document")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--svg", default=None, help="also render an SVG to this path")
-        p.add_argument("--samples", type=int, default=None, help="samples per orbit arc")
-        p.add_argument("--grid-dx", type=float, default=None, help="occupancy cell size")
-        p.add_argument("--grid-dt", type=float, default=None, help="occupancy time step")
-        p.add_argument("--horizon", type=float, default=None, help="occupancy horizon")
-        p.add_argument("--epsilon", type=float, default=None, help="plan accuracy")
     return parser
 
 

@@ -149,10 +149,10 @@ class OrbitRegion:
     def margin(self, v) -> float:
         return float(self.margins_many(as_vector(v))[0])
 
-    def contains(self, v, tol: float | None = None) -> MembershipVerdict:
-        """Membership in the closed enclosed region, with signed margin."""
-        if tol is None:
-            tol = 1e-6 * self.scale
+    def contains(self, v) -> MembershipVerdict:
+        """Membership in the closed enclosed region, with signed margin;
+        boundary within 1e-6 * scale."""
+        tol = 1e-6 * self.scale
         margin = self.margin(v)
         if margin > tol:
             return MembershipVerdict(Membership.INTERIOR, margin)

@@ -23,6 +23,9 @@ __all__ = [
     "hausdorff",
 ]
 
+# Largest grid the occupancy sweep accepts: 2^24 cells, 285 MB of marks.
+_MAX_CELLS = 1 << 24
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -30,7 +33,9 @@ class GridSpec:
 
     ``bounds`` is (xmin, xmax, ymin, ymax).  ``control_samples`` of None means
     the default {u_min, midpoint, u_max}; an explicit tuple is used verbatim
-    (collapsing it to a single value deliberately freezes the control).
+    (collapsing it to a single value deliberately freezes the control).  A
+    grid of more than 2^24 cells is rejected: the sweep keeps 17 bytes
+    per cell (the occupancy flag and 16 subcell marks).
     """
 
     bounds: tuple[float, float, float, float]
@@ -47,6 +52,10 @@ class GridSpec:
             raise ValueError("dx and dt must be positive")
         if self.horizon < self.dt:
             raise ValueError("horizon must be at least dt")
+        # The area in cells first: it may be infinite, which shape cannot take.
+        area = (xmax - xmin) / self.dx * ((ymax - ymin) / self.dx)
+        if not area <= _MAX_CELLS or math.prod(self.shape) > _MAX_CELLS:
+            raise ValueError(f"grid of about {area:.3g} cells exceeds {_MAX_CELLS}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -86,10 +95,10 @@ def default_grid_spec(
 
 @dataclass(frozen=True)
 class ReachSet:
-    """Occupancy of the discretized positive or negative orbit of a point."""
+    """Occupancy of the discretized forward orbit of a point; sweep
+    ``LinearControlSystem.time_reversed()`` for the backward orbit."""
 
     occupancy: np.ndarray
-    direction: str
     source: np.ndarray
     spec: GridSpec
     spill_count: int
@@ -113,12 +122,7 @@ class ReachSet:
         return out
 
 
-def grid_reachable_set(
-    sys: LinearControlSystem,
-    v0,
-    spec: GridSpec,
-    direction: str = "forward",
-) -> ReachSet:
+def grid_reachable_set(sys: LinearControlSystem, v0, spec: GridSpec) -> ReachSet:
     """Breadth-first occupancy closure under exact one-step flows.
 
     The frontier carries exact states (starting from ``v0`` itself); each
@@ -136,8 +140,6 @@ def grid_reachable_set(
     x, then of y among the landings that attain that x.  No sort over floats
     is needed, and the scratch arrays are sized by the frontier, not the grid.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
     v0 = np.asarray(v0, dtype=float)
     xmin, xmax, ymin, ymax = spec.bounds
     if not (xmin <= v0[0] <= xmax and ymin <= v0[1] <= ymax):
@@ -145,8 +147,7 @@ def grid_reachable_set(
     samples = spec.control_samples
     if samples is None:
         samples = (sys.u_min, 0.5 * (sys.u_min + sys.u_max), sys.u_max)
-    sign = 1.0 if direction == "forward" else -1.0
-    m = sys.propagator(sign * spec.dt)
+    m = sys.propagator(spec.dt)
     mt = m.T.copy()
     # One step is frontier @ m.T plus, per control sample, the offset
     # c - m c of its centre c; shaped (k, 1, 2) to broadcast over the frontier.
@@ -196,7 +197,6 @@ def grid_reachable_set(
         occupancy[flat // fx // refine, flat % fx // refine] = True
     return ReachSet(
         occupancy=occupancy,
-        direction=direction,
         source=v0,
         spec=spec,
         spill_count=spill,

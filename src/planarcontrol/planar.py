@@ -46,7 +46,6 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "canonicalize",
-    "discriminant",
     "line_coordinate",
     "spiral_arc",
 ]
@@ -76,24 +75,15 @@ def as_vector(v) -> np.ndarray:
     return w
 
 
-def discriminant(a) -> float:
-    """Return (tr A)^2 - 4 det A; negative iff A has complex eigenvalues."""
-    m = as_matrix(a)
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return tr * tr - 4.0 * det
-
-
 @dataclass(frozen=True)
 class CanonicalForm:
     """Rotation-scaling normal form of a 2x2 matrix with complex spectrum.
 
-    ``basis`` is the (generally non-orthogonal) change of coordinates ``Q``
-    with ``Q^-1 A Q = [[eig_real, -eig_imag], [eig_imag, eig_real]]``,
-    normalized to ``|det Q| = 1`` and first column along +x.  ``flipped`` is
-    True when the original flow rotates clockwise, i.e. when achieving
-    ``eig_imag > 0`` required an orientation-reversing basis
-    (conjugation by diag(1, -1) for an input already in clockwise form).
+    Built by :func:`canonicalize`.  ``basis`` is the (generally
+    non-orthogonal) change of coordinates ``Q`` with
+    ``Q^-1 A Q = [[eig_real, -eig_imag], [eig_imag, eig_real]]``, normalized
+    to ``|det Q| = 1`` and first column along +x; det Q < 0 exactly when the
+    original flow rotates clockwise.
 
     Attributes
     ----------
@@ -103,12 +93,12 @@ class CanonicalForm:
         Imaginary part, sqrt(|discriminant|) / 2, always positive.
     basis : Mat2
         Change-of-basis matrix Q (canonical frame -> original frame).
-    flipped : bool
-        True iff det(basis) < 0.
     generator : Mat2
         N = (A - eig_real I) / eig_imag in the original frame, so that
         exp(tA) = e^{t eig_real} (cos(t eig_imag) I + sin(t eig_imag) N);
         it is Q QUARTER_TURN Q^-1.
+    basis_inv : Mat2
+        Q^-1 (original frame -> canonical frame).
     lam : complex
         The eigenvalue eig_real + i eig_imag.
     """
@@ -116,35 +106,20 @@ class CanonicalForm:
     eig_real: float
     eig_imag: float
     basis: np.ndarray
-    flipped: bool
-    basis_inv: np.ndarray = field(repr=False, default=None)
-    generator: np.ndarray = field(repr=False, default=None)
+    generator: np.ndarray = field(repr=False)
+    basis_inv: np.ndarray = field(init=False, repr=False)
     lam: complex = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.basis_inv is None:
-            q = self.basis
-            det = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
-            inv = np.array([[q[1, 1], -q[0, 1]], [-q[1, 0], q[0, 0]]]) / det
-            object.__setattr__(self, "basis_inv", inv)
-        if self.generator is None:
-            gen = self.basis @ QUARTER_TURN @ self.basis_inv
-            object.__setattr__(self, "generator", gen)
+        q = self.basis
+        det = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
+        inv = np.array([[q[1, 1], -q[0, 1]], [-q[1, 0], q[0, 0]]]) / det
+        object.__setattr__(self, "basis_inv", inv)
         object.__setattr__(self, "lam", complex(self.eig_real, self.eig_imag))
-
-    def matrix(self) -> np.ndarray:
-        """The normal form [[eig_real, -eig_imag], [eig_imag, eig_real]]."""
-        return np.array(
-            [[self.eig_real, -self.eig_imag], [self.eig_imag, self.eig_real]]
-        )
 
     def to_canonical(self, points: np.ndarray) -> np.ndarray:
         """Map points (..., 2) from original to canonical coordinates."""
         return _apply(self.basis_inv, points)
-
-    def from_canonical(self, points: np.ndarray) -> np.ndarray:
-        """Map points (..., 2) from canonical to original coordinates."""
-        return _apply(self.basis, points)
 
     def frame(self, centre, one) -> "UnitFrame":
         """The frame of canonical points putting ``centre`` at 0 and ``one``
@@ -220,10 +195,10 @@ class UnitFrame:
         return np.stack([x, y], axis=-1)
 
 
-def canonicalize(a, tol: float = 1e-12) -> CanonicalForm:
+def canonicalize(a) -> CanonicalForm:
     """Compute the rotation-scaling normal form of ``a``.
 
-    Requires discriminant < -tol * ||a||_F^2; matrices inside that band are
+    Requires discriminant < -1e-12 * ||a||_F^2; matrices inside that band are
     rejected rather than guessed.  The test and the eigenvalues are computed
     on ``a / 2^e`` with its largest entry in [1, 2): the scaling is exact, so
     nothing overflows or underflows at any scale and every bit is kept.
@@ -245,7 +220,7 @@ def canonicalize(a, tol: float = 1e-12) -> CanonicalForm:
     s = math.ldexp(1.0, math.frexp(big)[1] - 1) if big > 0.0 else 1.0
     (p, q), (r, t) = (m / s).tolist()
     disc = (p + t) * (p + t) - 4.0 * (p * t - q * r)
-    if disc >= -tol * (p * p + q * q + r * r + t * t):
+    if disc >= -1e-12 * (p * p + q * q + r * r + t * t):
         raise NotComplexSpectrum(
             f"discriminant {disc * s * s:.6g} is not negative beyond tolerance; "
             "complex eigenvalue pair required"
@@ -257,9 +232,7 @@ def canonicalize(a, tol: float = 1e-12) -> CanonicalForm:
     det = col2[1]  # cross((1,0), col2)
     basis = np.array([[1.0, col2[0]], [0.0, col2[1]]]) / math.sqrt(abs(det))
     gen.setflags(write=False)
-    return CanonicalForm(
-        eig_real, eig_imag, basis, flipped=bool(det < 0.0), generator=gen
-    )
+    return CanonicalForm(eig_real, eig_imag, basis, gen)
 
 
 def spiral_arc(lam: complex, s, w, nw) -> np.ndarray:

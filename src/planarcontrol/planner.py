@@ -88,7 +88,7 @@ def _unit_centre(sys: LinearControlSystem, u: float) -> float:
     return (2.0 * u - sys.u_min - sys.u_max) / (sys.u_max - sys.u_min)
 
 
-def hop_plan(sys: LinearControlSystem, start, u_goal: float, tol: float = 1e-9) -> PlanResult:
+def hop_plan(sys: LinearControlSystem, start, u_goal: float) -> PlanResult:
     """Drive a zero-trace system from ``start`` onto the equilibrium of ``u_goal``.
 
     The plan hops along half circles between the extreme-control equilibria:
@@ -121,7 +121,7 @@ def hop_plan(sys: LinearControlSystem, start, u_goal: float, tol: float = 1e-9) 
     # lengths, line coordinates counted from the canonical origin (gamma).
     origin = unit.gamma.real
     scale = max(1.0, unit.length * max(abs(x0.real - origin), 1.0 + abs(origin)))
-    line_tol = tol * scale / unit.length
+    line_tol = 1e-9 * scale / unit.length
     point_tol = 1e-12 * scale / unit.length
 
     if abs(x0 - t_goal) <= point_tol:
@@ -176,14 +176,14 @@ def hop_plan(sys: LinearControlSystem, start, u_goal: float, tol: float = 1e-9) 
     return _certified(sys, start, goal_point, schedule)
 
 
-def loop_plan(sys: LinearControlSystem, start, u_goal: float, tol: float = 1e-9) -> PlanResult:
+def loop_plan(sys: LinearControlSystem, start, u_goal: float) -> PlanResult:
     """Return path from the goal equilibrium back to ``start`` (zero trace).
 
     Each circle of the hop plan is traversed along its complementary arc, in
     reverse order and in forward time; concatenating the hop plan with this
     one closes a periodic trajectory through both points.
     """
-    hop = hop_plan(sys, start, u_goal, tol)
+    hop = hop_plan(sys, start, u_goal)
     full = 2.0 * math.pi / sys.canonical.eig_imag
     schedule = tuple((u, full - dt) for u, dt in reversed(hop.schedule))
     return _certified(sys, hop.goal, as_vector(start), schedule)

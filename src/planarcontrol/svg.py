@@ -16,11 +16,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def render_svg(polylines, markers=(), size: int = 640) -> str:
+def render_svg(polylines, markers=()) -> str:
     """Render polylines (iterable of (n, 2) arrays) and marker points to SVG.
 
-    The first polyline defines the fitted viewport.  Markers are (2,) points
-    drawn as small circles.
+    The first polyline defines the fitted viewport, 640 units across.
+    Markers are (2,) points drawn as small circles.
     """
     polys = [np.atleast_2d(np.asarray(p, dtype=float)) for p in polylines]
     if not polys:
@@ -32,8 +32,8 @@ def render_svg(polylines, markers=(), size: int = 640) -> str:
     pad_y = 0.1 * max(ymax - ymin, 1e-9)
     xmin, xmax = xmin - pad_x, xmax + pad_x
     ymin, ymax = ymin - pad_y, ymax + pad_y
-    span = max(xmax - xmin, ymax - ymin)
-    scale = size / span
+    size = 640
+    scale = size / max(xmax - xmin, ymax - ymin)
 
     def screen(points):
         """Points (n, 2) in SVG coordinates, as Python floats, row by row."""

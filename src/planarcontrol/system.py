@@ -43,8 +43,8 @@ class LinearControlSystem:
 
     The drift must have a complex eigenvalue pair (hence det A > 0 and A is
     invertible).  A ValueError rejects data that floats cannot carry: a
-    control range, det A, equilibria or unit frame that overflows, a
-    subnormal det A, or extreme equilibria that round to one point.
+    control range, det A, A^-1 eta, equilibria or unit frame that overflows,
+    a subnormal det A, or extreme equilibria that round to one point.
     Canonical data, A^-1 eta and the unit frame (the canonical complex frame
     with v(u_min) at -1 and v(u_max) at +1) are computed once and cached;
     instances are immutable and safe to share across threads.
@@ -81,7 +81,11 @@ class LinearControlSystem:
         if not _TINY <= abs(det) < math.inf:
             raise ValueError("det A out of floating-point range")
         adj = np.array([[a11, -a01], [-a10, a00]])
-        inv_a_eta = (adj @ eta) / det
+        try:
+            with np.errstate(over="raise"):
+                inv_a_eta = (adj @ eta) / det
+        except FloatingPointError as exc:
+            raise ValueError("A^-1 eta out of floating-point range") from exc
         inv_a_eta.setflags(write=False)
         if not math.isfinite(max(abs(self.u_min), abs(self.u_max)) * float(np.abs(inv_a_eta).max())):
             raise ValueError("extreme equilibria out of floating-point range")
@@ -114,8 +118,8 @@ class LinearControlSystem:
         """
         return LinearControlSystem(-self.a, -self.eta, self.u_min, self.u_max)
 
-    def control_in_range(self, u: float, slack: float = 1e-9) -> bool:
-        pad = slack * (1.0 + max(abs(self.u_min), abs(self.u_max)))
+    def control_in_range(self, u: float) -> bool:
+        pad = 1e-9 * (1.0 + max(abs(self.u_min), abs(self.u_max)))
         return self.u_min - pad <= u <= self.u_max + pad
 
     def propagator(self, t: float) -> np.ndarray:
@@ -128,7 +132,7 @@ def equilibrium(sys: LinearControlSystem, u: float) -> np.ndarray:
     """Equilibrium -u A^-1 eta of the constant-control vector field.
 
     Any real ``u`` is accepted; values outside the control range are flagged
-    with a ControlRangeWarning (the range sweep evaluates them on purpose).
+    with a ControlRangeWarning.
     """
     if not sys.control_in_range(u):
         warnings.warn(
@@ -170,9 +174,8 @@ class Trajectory:
 
     ``times``/``states`` hold the exact segment endpoints (strictly increasing
     time stamps; zero-duration segments contribute no stamp).  ``dense_times``
-    and ``dense_states`` sample each arc at a configurable step for plotting
-    and membership sweeps.  For a backward run, stamps are elapsed time along
-    the reversed-time path.
+    and ``dense_states`` sample each arc at half_period / 256 for plotting.
+    To run backward in time, simulate on ``LinearControlSystem.time_reversed()``.
     """
 
     times: np.ndarray
@@ -180,7 +183,6 @@ class Trajectory:
     schedule: tuple
     dense_times: np.ndarray
     dense_states: np.ndarray
-    backward: bool = False
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -192,14 +194,12 @@ class Trajectory:
 
 
 def segment_endpoints(
-    sys: LinearControlSystem, v0, schedule, backward: bool = False
+    sys: LinearControlSystem, v0, schedule
 ) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Validated ``(u, dt)`` segments, endpoint times and exact endpoint states.
 
-    Each segment endpoint is ``flow(±dt, previous endpoint, u)``; a
-    zero-duration segment contributes no endpoint.  With ``backward=True``
-    every segment is traversed in reversed time (durations stay
-    nonnegative).
+    Each segment endpoint is ``flow(dt, previous endpoint, u)``; a
+    zero-duration segment contributes no endpoint.
 
     Raises
     ------
@@ -217,30 +217,23 @@ def segment_endpoints(
             )
         if dt < 0.0:
             raise ValueError("segment durations must be nonnegative")
-    sign = -1.0 if backward else 1.0
     times = [0.0]
     states = [v]
     for u, dt in segs:
         if dt == 0.0:
             continue
-        v = flow(sys, sign * dt, v, u)
+        v = flow(sys, dt, v, u)
         times.append(times[-1] + dt)
         states.append(v)
     return segs, np.array(times), np.vstack(states)
 
 
-def simulate(
-    sys: LinearControlSystem,
-    v0,
-    schedule,
-    backward: bool = False,
-    sample_step: float | None = None,
-) -> Trajectory:
+def simulate(sys: LinearControlSystem, v0, schedule) -> Trajectory:
     """Run a schedule of ``(u, dt)`` segments from ``v0`` with exact arcs.
 
     The segment endpoints are those of :func:`segment_endpoints`; dense
-    samples at ``sample_step`` (default half_period / 256) are recorded
-    alongside, each arc ending on its exact endpoint.
+    samples at half_period / 256 are recorded alongside, each arc ending on
+    its exact endpoint.
 
     Raises
     ------
@@ -249,10 +242,8 @@ def simulate(
     ValueError
         If some segment duration is negative.
     """
-    segs, times, states = segment_endpoints(sys, v0, schedule, backward)
-    if sample_step is None:
-        sample_step = sys.half_period / 256.0
-    sign = -1.0 if backward else 1.0
+    segs, times, states = segment_endpoints(sys, v0, schedule)
+    sample_step = sys.half_period / 256.0
     dense_times = [times[:1]]
     dense_states = [states[:1]]
     arcs = [(u, dt) for u, dt in segs if dt != 0.0]
@@ -260,12 +251,11 @@ def simulate(
         n = max(2, int(math.ceil(dt / sample_step)) + 1)
         local = np.linspace(0.0, dt, n)[1:-1]
         dense_times += [times[i] + local, times[i + 1 : i + 2]]
-        dense_states += [flow(sys, sign * local, states[i], u), states[i + 1 : i + 2]]
+        dense_states += [flow(sys, local, states[i], u), states[i + 1 : i + 2]]
     return Trajectory(
         times=times,
         states=states,
         schedule=segs,
         dense_times=np.concatenate(dense_times),
         dense_states=np.vstack(dense_states),
-        backward=backward,
     )

@@ -66,6 +66,9 @@ def _run(tmp_path, command, doc, *extra):
         ("analyze", {"omega": [0.0, 5e-324]}),
         ("analyze", {"omega": [-1e308, 1e308]}),
         ("plan", {"omega": [1e308, 1.7e308]}),
+        # Allocations of TiB and PiB: rejected before any array is made.
+        ("analyze", {"samples": 1000000000000}),
+        ("reach", {"grid": {"dx": 1e-7}}),
     ],
 )
 def test_malformed_field_exits_2_without_artifacts(tmp_path, capsys, command, change):
@@ -104,9 +107,11 @@ def test_plan_simulates_only_for_svg(tmp_path, monkeypatch):
 
 
 def test_malformed_command_line_override_exits_2(tmp_path):
-    code, out = _run(tmp_path, "plan", BASE, "--samples", "4")
-    assert code == 2
-    assert not out.exists()
+    # The config is the only run input: argparse rejects any tuning flag.
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "plan", BASE, "--samples", "4")
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_svg_with_nothing_to_render_writes_nothing(tmp_path):

@@ -67,7 +67,7 @@ def _sample_inside(rng, region, margin_floor=0.0):
     hi = np.maximum(z1, z2) + 2.0 * region.scale
     while True:
         zc = rng.uniform(lo, hi)
-        v = cf.from_canonical(zc)
+        v = zc @ cf.basis.T
         if region.margins(v)[0] > margin_floor:
             return v
 
@@ -378,7 +378,9 @@ def test_membership_equivariance_rotation_translation():
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
         )
         shift = rng.normal(0.0, 2.0, 2)
-        a_old = region.canonical.basis @ region.canonical.matrix() @ region.canonical.basis_inv
+        cf = region.canonical
+        normal = [[cf.eig_real, -cf.eig_imag], [cf.eig_imag, cf.eig_real]]
+        a_old = cf.basis @ normal @ cf.basis_inv
         cf_new = canonicalize(rot @ a_old @ rot.T)
         moved = SpiralRegion(
             rot @ region.v1 + shift, rot @ region.v2 + shift, cf_new

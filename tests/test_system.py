@@ -40,6 +40,8 @@ def test_system_validation():
         ([[-1, -1], [1, -1]], [1, 0], (1e308, 1.7e308)),  # the midpoint overflows
         ([[-1e160, -1e160], [1e160, -1e160]], [1, 0], (-1.0, 1.0)),  # det A overflows
         ([[-1e-160, -1e-160], [1e-160, -1e-160]], [1, 0], (-1.0, 1.0)),  # subnormal det
+        ([[-1, -1], [1, -1]], [1e308, 1e308], (-1.0, 1.0)),  # A^-1 eta overflows
+        ([[-1e-150, -1e-150], [1e-150, -1e-150]], [1e200, 0], (-1.0, 1.0)),  # ... in the division
     ],
 )
 def test_system_rejects_unrepresentable_data(a, eta, omega):
@@ -240,7 +242,7 @@ def test_simulate_backward_inverts_forward(s0):
     v0 = np.array([0.3, 0.3])
     sched = [(0.25, 0.9), (-0.75, 1.4)]
     fwd = simulate(s0, v0, sched)
-    back = simulate(s0, fwd.endpoint, list(reversed(sched)), backward=True)
+    back = simulate(s0.time_reversed(), fwd.endpoint, list(reversed(sched)))
     assert np.linalg.norm(back.endpoint - v0) < 1e-12
     assert np.all(np.diff(back.times) > 0)
 
@@ -258,9 +260,9 @@ def test_dense_samples_end_on_exact_endpoints():
         v0 = rng.normal(0, 1, 2)
         sched = [(rng.uniform(sys.u_min, sys.u_max), rng.uniform(0, 2)) for _ in range(4)]
         sched.insert(2, (sys.u_min, 0.0))
-        for backward in (False, True):
-            _, times, states = segment_endpoints(sys, v0, sched, backward)
-            traj = simulate(sys, v0, sched, backward)
+        for run_sys in (sys, sys.time_reversed()):
+            _, times, states = segment_endpoints(run_sys, v0, sched)
+            traj = simulate(run_sys, v0, sched)
             at = np.searchsorted(traj.dense_times, times)
             np.testing.assert_array_equal(traj.dense_times[at], times)
             np.testing.assert_array_equal(traj.dense_states[at], states)
@@ -275,7 +277,7 @@ def test_time_reversed_system_shares_equilibria(s0):
     np.testing.assert_allclose(
         flow(rev, 1.3, v, 0.8), flow(s0, -1.3, v, 0.8), atol=1e-12
     )
-    # Reversal is exact: the grid oracle's backward sweep relies on it.
+    # Reversal is exact: backward runs are forward runs of the reversed system.
     rng = np.random.default_rng(81)
     for _ in range(50):
         sys = random_system(rng)
