@@ -208,10 +208,11 @@ def parse_config(text: str) -> SystemConfig:
         if not isinstance(sweep, dict) or "nu" not in sweep or "grid" not in sweep:
             raise ValidationError("field 'sweep' must carry 'nu' and 'grid'")
         _reject_unknown(sweep, ("nu", "grid"), "sweep.")
-        try:
-            pairs = [(p[0], p[1]) for p in sweep["grid"]]
-        except (TypeError, IndexError, KeyError) as exc:
-            raise ValidationError("sweep.grid must be a list of [alpha, rho]") from exc
+        pairs = sweep["grid"]
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in pairs
+        ):
+            raise ValidationError("sweep.grid must be a list of [alpha, rho]")
         cfg.sweep_nu = _scalar(sweep["nu"], "sweep.nu")
         cfg.sweep_grid = [
             (_scalar(a, "sweep.grid"), _scalar(b, "sweep.grid")) for a, b in pairs
@@ -230,20 +231,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _json_default(obj):
+    """numpy arrays and scalars, which ``json`` cannot encode, as Python values."""
+    return obj.tolist()
 
 
 def _write_text(path: str, text: str) -> None:
@@ -254,7 +244,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def _csv_text(header: str, rows) -> str:
@@ -282,7 +272,8 @@ def _check(name: str, passed: bool, margin: float) -> dict:
     return {"name": name, "passed": bool(passed), "margin": float(margin)}
 
 
-def _analysis_checks(sys_: LinearControlSystem, region, seed: int) -> list[dict]:
+def _analysis_checks(region, poly: np.ndarray, seed: int) -> list[dict]:
+    """Checks of ``region`` and ``poly``, its sampled boundary polyline."""
     work = region.work_system
     half = work.half_period
     scale = max(1.0, region.scale)
@@ -292,7 +283,6 @@ def _analysis_checks(sys_: LinearControlSystem, region, seed: int) -> list[dict]
     res_plus = float(
         np.linalg.norm(flow(work, half, region.p_minus, work.u_max) - region.p_plus)
     )
-    poly = region.boundary
     closure = float(np.linalg.norm(poly[0] - poly[-1]))
     coords = line_order_coordinates(region)
     order_vals = [coords["p_minus"], coords["v_u_min"], coords["v_u_max"], coords["p_plus"]]
@@ -347,11 +337,12 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
 
     region = None
     if kind is not Classification.CONTROLLABLE_TRACE_ZERO:
-        region = build_orbit_region(sys_, samples_per_arc=samples)
+        region = build_orbit_region(sys_)
+        boundary = periodic_orbit(region.work_system, samples).polyline()
         report["p_plus"] = region.p_plus
         report["p_minus"] = region.p_minus
-        report["orbit_samples"] = len(region.boundary)
-        svg_layers.append(region.boundary)
+        report["orbit_samples"] = len(boundary)
+        svg_layers.append(boundary)
         svg_markers.extend(
             [
                 region.p_plus,
@@ -363,7 +354,7 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
 
     if command == "analyze":
         if region is not None:
-            report["checks"] = _analysis_checks(sys_, region, cfg.seed)
+            report["checks"] = _analysis_checks(region, boundary, cfg.seed)
         emit("analyze.json", _json_text({**report, "files": ["analyze.json"]}))
 
     elif command == "orbit":
@@ -404,7 +395,7 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
         else:
             if cfg.target is None:
                 raise ValidationError("plan subcommand needs a 'target' in the config")
-            plan = reach_plan(sys_, cfg.target, epsilon, region=region)
+            plan = reach_plan(sys_, cfg.target, epsilon)
         rows = [
             (str(i), _fmt(u), _fmt(dtt))
             for i, (u, dtt) in enumerate(plan.schedule)
@@ -569,7 +560,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 4
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
     return 0
 
 

@@ -171,7 +171,7 @@ def sweep_control_ranges(
         if prev_boundary is None:
             dist = float("nan")
         else:
-            from .oracle import hausdorff  # deferred: oracle imports geometry
+            from .oracle import hausdorff  # deferred: oracle imports controlset
 
             dist = hausdorff(boundary, prev_boundary)
         points.append(

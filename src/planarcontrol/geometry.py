@@ -21,6 +21,7 @@ the half about v(u_min) is kept: a point below its chord line is reflected
 first, and points on the open chord come out interior.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import TraceZero
 from .planar import CanonicalForm, UnitFrame, as_vector, line_coordinate
 from .system import LinearControlSystem, equilibrium
-from .controlset import BoundaryOrbit, is_trace_zero, periodic_orbit
+from .controlset import BoundaryOrbit, half_turn_fixed_points, is_trace_zero, periodic_orbit
 
 __all__ = [
     "Membership",
@@ -52,9 +53,9 @@ class Membership(Enum):
 class MembershipVerdict:
     """Classification of a query point with its signed margin.
 
-    The margin is the polar margin of the module docstring (for a spiral
-    region, capped by the signed distance to the chord line); boundary means
-    |margin| is within the tolerance band.
+    ``OrbitRegion.contains`` builds it from the polar arc margin of the
+    module docstring, which no chord line caps; boundary means |margin| is
+    within the tolerance band.
     """
 
     verdict: Membership
@@ -115,24 +116,27 @@ class OrbitRegion:
     the system actually used and always has a negative trace.  ``p_plus`` and
     ``p_minus`` are ordered so that on the line through the equilibria,
     in the signed coordinate along -A^-1 eta,
-    p_minus < v(u_min) < v(u_max) < p_plus.
+    p_minus < v(u_min) < v(u_max) < p_plus.  The region is closed-form data;
+    ``orbit`` and ``boundary`` sample it on first read.
     """
 
     system: LinearControlSystem
     work_system: LinearControlSystem
-    orbit: BoundaryOrbit
+    p_plus: np.ndarray
+    p_minus: np.ndarray
     half_plus: SpiralRegion
-    boundary: np.ndarray
     time_reversed: bool
     scale: float
 
-    @property
-    def p_plus(self) -> np.ndarray:
-        return self.orbit.p_plus
+    @functools.cached_property
+    def orbit(self) -> BoundaryOrbit:
+        """The periodic orbit of ``work_system``, 1,024 samples per arc."""
+        return periodic_orbit(self.work_system, 1024)
 
-    @property
-    def p_minus(self) -> np.ndarray:
-        return self.orbit.p_minus
+    @functools.cached_property
+    def boundary(self) -> np.ndarray:
+        """Closed polyline of ``orbit``."""
+        return self.orbit.polyline()
 
     def margins_many(self, points) -> np.ndarray:
         """Exact margin per point: the arc margin of ``half_plus``, after
@@ -163,15 +167,16 @@ class OrbitRegion:
     def exterior_distance(self, v) -> float:
         """Euclidean distance to the region: 0 unless the point is exterior.
 
-        Exterior distances are measured to the sampled boundary polyline and
-        converge to the true distance as the sampling grows.
+        Exterior distances are measured to ``boundary``, the polyline of
+        1,024 samples per arc, and converge to the true distance as the
+        sampling grows.
         """
         if self.contains(v).is_exterior:
             return float(polyline_distance(as_vector(v), self.boundary)[0])
         return 0.0
 
 
-def build_orbit_region(sys: LinearControlSystem, samples_per_arc: int = 1024) -> OrbitRegion:
+def build_orbit_region(sys: LinearControlSystem) -> OrbitRegion:
     """Construct the enclosed region of the periodic orbit of ``sys``.
 
     Raises
@@ -183,17 +188,16 @@ def build_orbit_region(sys: LinearControlSystem, samples_per_arc: int = 1024) ->
         raise TraceZero("the enclosed region needs a nonzero trace")
     reversed_ = sys.trace > 0.0
     work = sys.time_reversed() if reversed_ else sys
-    orbit = periodic_orbit(work, samples_per_arc)
-    v_min = equilibrium(work, work.u_min)
-    half_plus = SpiralRegion(orbit.p_plus, v_min, work.canonical)
+    p_plus, p_minus = half_turn_fixed_points(work)
+    half_plus = SpiralRegion(p_plus, equilibrium(work, work.u_min), work.canonical)
     # The corners are ±corner in the unit frame.
     scale = 2.0 * work.unit.length * work.unit.corner
     return OrbitRegion(
         system=sys,
         work_system=work,
-        orbit=orbit,
+        p_plus=p_plus,
+        p_minus=p_minus,
         half_plus=half_plus,
-        boundary=orbit.polyline(),
         time_reversed=reversed_,
         scale=scale,
     )

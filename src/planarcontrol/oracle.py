@@ -84,12 +84,12 @@ def default_grid_spec(
     dx: float = 0.02,
     dt: float = 0.05,
     horizon: float = 30.0,
-    inflate: float = 3.0,
 ) -> GridSpec:
-    """Grid bounds from the periodic orbit's bounding box inflated about its center."""
+    """Grid bounds from the periodic orbit's bounding box, inflated 3 times
+    about its center."""
     xmin, xmax, ymin, ymax = periodic_orbit(sys).bounding_box()
     cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-    hx, hy = 0.5 * (xmax - xmin) * inflate, 0.5 * (ymax - ymin) * inflate
+    hx, hy = 1.5 * (xmax - xmin), 1.5 * (ymax - ymin)
     return GridSpec(bounds=(cx - hx, cx + hx, cy - hy, cy + hy), dx=dx, dt=dt, horizon=horizon)
 
 

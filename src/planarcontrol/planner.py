@@ -34,9 +34,8 @@ from .errors import (
     PreconditionViolated,
     TargetNotInterior,
     TraceNotZero,
-    TraceZero,
 )
-from .geometry import OrbitRegion, build_orbit_region
+from .geometry import build_orbit_region
 from .planar import as_vector, spiral_arc
 from .system import LinearControlSystem, equilibrium, segment_endpoints
 from .controlset import is_trace_zero
@@ -83,6 +82,11 @@ def _certified(sys, start, goal, schedule, time_reversed=False) -> PlanResult:
     )
 
 
+# Farthest start hop_plan accepts, in strides (2 in the unit frame): the
+# march takes one schedule entry per stride.
+_MAX_STRIDES = 1 << 20
+
+
 def _unit_centre(sys: LinearControlSystem, u: float) -> float:
     """The equilibrium of ``u`` in the unit frame, a real number."""
     return (2.0 * u - sys.u_min - sys.u_max) / (sys.u_max - sys.u_min)
@@ -104,6 +108,9 @@ def hop_plan(sys: LinearControlSystem, start, u_goal: float) -> PlanResult:
         If the trace is outside the zero band.
     InvalidControl
         If ``u_goal`` is outside the control range.
+    PreconditionViolated
+        If the start is more than 2^20 strides from the goal, so that the
+        schedule would outgrow about 2^20 entries.
     """
     if not is_trace_zero(sys):
         raise TraceNotZero("hop planning applies to zero-trace systems")
@@ -126,6 +133,10 @@ def hop_plan(sys: LinearControlSystem, start, u_goal: float) -> PlanResult:
 
     if abs(x0 - t_goal) <= point_tol:
         return _certified(sys, start, goal_point, ())
+    if abs(x0 - t_goal) > 2.0 * _MAX_STRIDES:
+        raise PreconditionViolated(
+            f"start is more than {_MAX_STRIDES} strides from the goal"
+        )
 
     window = (-2.0 - t_goal, 2.0 - t_goal)
 
@@ -367,7 +378,6 @@ def reach_plan(
     target,
     epsilon: float,
     pairs: int | None = None,
-    region: OrbitRegion | None = None,
 ) -> PlanResult:
     """Schedule from the u_min equilibrium that ends on ``target``.
 
@@ -389,8 +399,6 @@ def reach_plan(
     pairs : int, optional
         Measurement mode: exactly ``pairs`` pairs, then the exit arc of the
         limit orbit, so the error decays like q^(2 pairs); no epsilon check.
-    region : OrbitRegion, optional
-        The region of the system; the plan runs on its ``work_system``.
 
     Raises
     ------
@@ -404,17 +412,13 @@ def reach_plan(
         floating point (that half turn is the boundary arc, which every
         interior target's flow crosses).
     TraceZero
-        Inside the zero-trace band.
+        Inside the zero-trace band (from ``build_orbit_region``).
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if pairs is not None and pairs < 0:
         raise ValueError("pairs must be nonnegative")
-    if is_trace_zero(sys):
-        raise TraceZero("reach planning needs a nonzero trace")
-    time_reversed = sys.trace > 0.0
-    if region is None:
-        region = build_orbit_region(sys)
+    region = build_orbit_region(sys)
     work = region.work_system
     target = as_vector(target)
     scale = max(1.0, region.scale)
@@ -431,7 +435,7 @@ def reach_plan(
     r_target = abs(target_w + 1.0)
 
     if r_target * unit.length <= 1e-12 * scale:
-        return _certified(work, e_min, target, (), time_reversed)
+        return _certified(work, e_min, target, (), region.time_reversed)
 
     def exit_through(x):
         # The target's backward u_min flow against the u_max half turn from
@@ -459,7 +463,7 @@ def reach_plan(
     s0, t_b, _ = found
 
     schedule = [(work.u_max, half), (work.u_min, half)] * k + [(work.u_max, t_b), (work.u_min, s0)]
-    plan = _certified(work, e_min, target, schedule, time_reversed)
+    plan = _certified(work, e_min, target, schedule, region.time_reversed)
     if pairs is None and plan.endpoint_error > epsilon:
         raise EpsilonTooSmall(
             f"error {plan.endpoint_error:.3g} above epsilon after {k} pairs"

@@ -188,10 +188,6 @@ class Trajectory:
     def endpoint(self) -> np.ndarray:
         return self.states[-1]
 
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1])
-
 
 def segment_endpoints(
     sys: LinearControlSystem, v0, schedule

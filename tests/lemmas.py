@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from planarcontrol.controlset import periodic_orbit
 from planarcontrol.errors import PreconditionViolated, ZeroVector
 from planarcontrol.geometry import Membership, build_orbit_region, polyline_distance
 from planarcontrol.planar import QUARTER_TURN, as_vector, spiral_arc
@@ -135,12 +136,13 @@ def distance_bound_slack(sys, samples, rng, samples_per_arc: int = 4096):
     normal drift.  Returns (violations, worst_contraction, worst_expansion),
     the worsts being the largest (measured - allowed) of each inequality.
     """
-    region = build_orbit_region(sys, samples_per_arc=samples_per_arc)
-    boundary = region.boundary
+    region = build_orbit_region(sys)
     work = region.work_system
+    orbit = periodic_orbit(work, samples_per_arc)
+    boundary = orbit.polyline()
     # Sag bound of the boundary polyline: seg^2 / (8 * smallest radius).
     sag = 0.0
-    for arc, u in ((region.orbit.arc_minus, work.u_min), (region.orbit.arc_plus, work.u_max)):
+    for arc, u in ((orbit.arc_minus, work.u_min), (orbit.arc_plus, work.u_max)):
         radii = np.linalg.norm(arc + u * work.inv_a_eta, axis=1)
         seg = np.linalg.norm(np.diff(arc, axis=0), axis=1).max()
         sag = max(sag, seg * seg / (8.0 * float(radii.min())))

@@ -16,11 +16,14 @@ BASE = {
     "target": [0.1, 0.1],
 }
 ZERO_TRACE = {**BASE, "a": [[0.0, -1.0], [1.0, 0.0]]}
+# A change that maps a field to MISSING drops it from BASE.
+MISSING = object()
 
 
 def _run(tmp_path, command, doc, *extra):
+    """Run ``command`` on ``doc``, a config object or the raw config text."""
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     out = tmp_path / "out"
     return main([command, str(cfg), "--out", str(out), *extra]), out
 
@@ -69,13 +72,62 @@ def _run(tmp_path, command, doc, *extra):
         # Allocations of TiB and PiB: rejected before any array is made.
         ("analyze", {"samples": 1000000000000}),
         ("reach", {"grid": {"dx": 1e-7}}),
+        # Documents that are not a config object, and the fields each needs.
+        pytest.param("analyze", "{not json", id="analyze-invalid-json"),
+        pytest.param("analyze", "[1, 2]", id="analyze-not-an-object"),
+        ("analyze", {"a": MISSING}),
+        ("analyze", {"eta": MISSING}),
+        ("analyze", {"omega": MISSING}),
+        ("analyze", {"a": [[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0]]}),
+        ("analyze", {"eta": [1.0, 0.0, 0.0]}),
+        ("reach", {"grid": [0.1, 0.1]}),
+        ("reach", {"grid": {"bounds": [-1, 1, -1]}}),
+        ("sweep", {"sweep": {"grid": [[-1.0, 1.0]]}}),
+        ("sweep", {"sweep": {"nu": 0.0}}),
+        ("orbit", {"a": ZERO_TRACE["a"]}),
+        ("member", {"point": MISSING}),
+        ("plan", {"target": MISSING}),
+        ("plan", {"a": ZERO_TRACE["a"]}),
+        ("sweep", {}),
+        ("sweep", {"sweep": {"nu": 0.0, "grid": [[-1.0, 1.0, 2.0]]}}),
     ],
 )
 def test_malformed_field_exits_2_without_artifacts(tmp_path, capsys, command, change):
-    code, out = _run(tmp_path, command, {**BASE, **change})
+    if not isinstance(change, str):
+        change = {k: v for k, v in {**BASE, **change}.items() if v is not MISSING}
+    code, out = _run(tmp_path, command, change)
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"target": [5.0, 5.0]},  # exterior target
+        {"epsilon": 1e-300},  # below the certified rounding error
+        {"a": ZERO_TRACE["a"], "start": [0.0, 1e9]},  # 5e8 hops
+    ],
+)
+def test_planner_failure_exits_3_without_artifacts(tmp_path, capsys, change):
+    code, out = _run(tmp_path, "plan", {**BASE, **change})
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_io_failure_exits_4(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["analyze", str(missing), "--out", str(tmp_path / "out")]) == 4
+    assert "cannot read config" in capsys.readouterr().err
+    # --out names an existing file, not a directory.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(BASE))
+    assert main(["analyze", str(cfg), "--out", str(blocker)]) == 4
+    assert "error:" in capsys.readouterr().err
+    assert blocker.read_text() == ""
 
 
 def test_removed_tau_grid_is_named(tmp_path, capsys):

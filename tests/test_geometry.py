@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from planarcontrol.controlset import periodic_orbit
 from planarcontrol.errors import PreconditionViolated, TraceZero, ZeroVector
 from planarcontrol.geometry import (
     Membership,
@@ -18,6 +19,7 @@ from planarcontrol.planar import (
     line_coordinate,
     spiral_arc,
 )
+from planarcontrol.planner import reach_plan
 from planarcontrol.system import LinearControlSystem, equilibrium, flow
 
 from conftest import (
@@ -199,7 +201,7 @@ def test_invariance_endpoint_lands_on_chord_interval(unit_region):
         s_end = (math.pi - sigma) / cf.eig_imag
         # evaluate the spiral exp(s Ac)(w1 - w2) + w2 in the canonical frame
         end = spiral_arc(cf.lam, s_end, diff, diff @ QUARTER_TURN.T) + w2
-        coord = line_coordinate(end, np.array([1.0, 0.0]), tol=1e-7)
+        coord = line_coordinate(end, np.array([1.0, 0.0]))
         assert far_end[0] - 1e-7 <= coord <= v1[0] + 1e-7
 
 
@@ -226,6 +228,22 @@ def test_build_orbit_region_worked_values(s0):
     assert np.linalg.norm(region.p_plus - pp) < 1e-12
 
 
+def test_region_samples_its_orbit_on_first_read(s0, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return periodic_orbit(*args)
+
+    monkeypatch.setattr("planarcontrol.geometry.periodic_orbit", counted)
+    region = build_orbit_region(s0)
+    reach_plan(s0, [0.1, -0.2], 1e-9)
+    assert calls == []
+    boundary = region.boundary
+    assert region.boundary is boundary and region.orbit.polyline().shape == boundary.shape
+    assert len(calls) == 1 and len(boundary) == 2 * 1024 + 1
+
+
 def test_build_orbit_region_line_order(s0):
     from planarcontrol.geometry import line_order_coordinates
 
@@ -247,11 +265,11 @@ def test_region_boundary_closed_random():
     rng = np.random.default_rng(37)
     for _ in range(25):
         sys = random_system(rng, trace_sign=rng.choice([-1, 1]))
-        region = build_orbit_region(sys, samples_per_arc=128)
+        region = build_orbit_region(sys)
         poly = region.boundary
         assert np.linalg.norm(poly[0] - poly[-1]) < 1e-9 * max(1.0, region.scale)
         for point in (region.p_plus, region.p_minus):
-            line_coordinate(point, sys.inv_a_eta, tol=1e-8)  # no OffLine
+            line_coordinate(point, sys.inv_a_eta)  # no OffLine
 
 
 def test_time_reversed_region_is_same_set(s0):
@@ -304,25 +322,21 @@ def test_exterior_distance_examples(s0):
 
 def test_exterior_distance_pinned_value(s0):
     # Value frozen from a refinement study (change < 1e-6 from 1024 samples on).
-    region = build_orbit_region(s0, samples_per_arc=4096)
-    assert region.exterior_distance([2.0, 2.0]) == pytest.approx(
-        2.024470886186, abs=1e-6
+    fine, coarse = (
+        polyline_distance([2.0, 2.0], periodic_orbit(s0, n).polyline())[0]
+        for n in (4096, 512)
     )
+    assert fine == pytest.approx(2.024470886186, abs=1e-6)
     # Refinement decreases the polyline distance monotonically to within 1e-6.
-    coarse = build_orbit_region(s0, samples_per_arc=512)
-    assert coarse.exterior_distance([2.0, 2.0]) >= region.exterior_distance(
-        [2.0, 2.0]
-    ) - 1e-12
-    assert abs(
-        coarse.exterior_distance([2.0, 2.0]) - region.exterior_distance([2.0, 2.0])
-    ) < 1e-6
+    assert coarse >= fine - 1e-12
+    assert abs(coarse - fine) < 1e-6
 
 
 def test_forward_invariance_random_systems():
     rng = np.random.default_rng(47)
     for _ in range(30):
         sys = random_system(rng, trace_sign=-1)
-        region = build_orbit_region(sys, samples_per_arc=256)
+        region = build_orbit_region(sys)
         pts = np.array([_sample_inside(rng, region.half_plus) for _ in range(5)])
         # also sample from the other half
         work = region.work_system
@@ -344,7 +358,7 @@ def test_margins_symmetric_under_equilibrium_midpoint_reflection():
     for k in range(40):
         sign = 1 if k % 2 else -1
         sys = random_system(rng, sign) if k % 4 < 2 else random_normal_system(rng, sign)
-        region = build_orbit_region(sys, samples_per_arc=64)
+        region = build_orbit_region(sys)
         two_m = equilibrium(sys, sys.u_min) + equilibrium(sys, sys.u_max)
         lo, hi = region.boundary.min(axis=0), region.boundary.max(axis=0)
         pts = rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), (500, 2))
@@ -361,7 +375,7 @@ def test_backward_invariance_positive_trace():
     rng = np.random.default_rng(53)
     for _ in range(15):
         sys = random_system(rng, trace_sign=1)
-        region = build_orbit_region(sys, samples_per_arc=256)
+        region = build_orbit_region(sys)
         v = _sample_inside(rng, region.half_plus)
         u = rng.uniform(sys.u_min, sys.u_max)
         s = rng.uniform(0.0, 3.0 * sys.half_period)

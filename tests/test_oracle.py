@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from planarcontrol.controlset import periodic_orbit
 from planarcontrol.errors import EmptySet
 from planarcontrol.geometry import build_orbit_region, polyline_distance
 from planarcontrol.oracle import (
@@ -68,7 +69,11 @@ def test_positive_trace_exterior_point_stays_outside(s0):
     v0 = region.p_plus + 0.3 * normal
     eps = region.exterior_distance(v0)
     assert eps == pytest.approx(0.3, abs=1e-9)
-    spec = default_grid_spec(rev, dx=0.02, dt=0.05, horizon=6.0, inflate=4.0)
+    # The orbit's bounding box inflated 4 times about its centre.
+    xmin, xmax, ymin, ymax = periodic_orbit(rev).bounding_box()
+    cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+    hx, hy = 2.0 * (xmax - xmin), 2.0 * (ymax - ymin)
+    spec = GridSpec((cx - hx, cx + hx, cy - hy, cy + hy), dx=0.02, dt=0.05, horizon=6.0)
     reach = grid_reachable_set(rev, v0, spec)
     pts = reach.occupied_points()
     margins = region.margins_many(pts)
@@ -271,11 +276,10 @@ def test_grid_spec_validation(s0):
 
 def test_distance_bound_direct_case(s0):
     # A single concrete contraction instance, checked directly.
-    region = build_orbit_region(s0, samples_per_arc=4096)
+    boundary = periodic_orbit(s0, 4096).polyline()
     v = np.array([2.0, 2.0])
-    d0 = region.exterior_distance(v)
     moved = flow(s0, 1.0, v, 0.0)
-    d1 = region.exterior_distance(moved)
+    d0, d1 = polyline_distance([v, moved], boundary)
     assert d1 <= math.exp(-1.0) * d0 + 1e-6
 
 

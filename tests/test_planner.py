@@ -8,11 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from planarcontrol.errors import (
+    EpsilonTooSmall,
     InvalidControl,
     NoIntersectionFound,
     PreconditionViolated,
     TargetNotInterior,
     TraceNotZero,
+    TraceZero,
 )
 from planarcontrol.geometry import build_orbit_region
 from planarcontrol.planner import hop_plan, loop_plan, reach_plan, spiral_crossing
@@ -111,6 +113,17 @@ def test_hop_plan_off_line_meets_bound(t0):
     assert plan.endpoint_error < 1e-9
 
 
+def test_hop_plan_refuses_starts_beyond_two_to_the_twenty_strides(t0):
+    # A start at 1e9 would need 5e8 hops; it is refused before any march.
+    for plan in (hop_plan, loop_plan):
+        with pytest.raises(PreconditionViolated):
+            plan(t0, [0.0, 1e9], 0.0)
+    # One at 1e4 still plans: 5,000 hops, one rounding of its size per hop.
+    plan = hop_plan(t0, [0.0, 1e4], 0.0)
+    assert plan.hops == 5000
+    assert plan.endpoint_error <= plan.hops * EPS * 1e4
+
+
 def test_loop_plan_closes_periodic_orbit(t0):
     start = np.array([0.0, 5.0])
     hop = hop_plan(t0, start, 0.0)
@@ -129,8 +142,7 @@ def test_loop_plan_empty_for_goal_start(t0):
 
 
 def test_reach_plan_to_equilibrium_target(s0):
-    region = build_orbit_region(s0)
-    plan = reach_plan(s0, equilibrium(s0, s0.u_max), 1e-4, region=region)
+    plan = reach_plan(s0, equilibrium(s0, s0.u_max), 1e-4)
     assert plan.endpoint_error < 1e-4
     np.testing.assert_allclose(plan.start, equilibrium(s0, s0.u_min), atol=1e-15)
     # Self-certification: replaying the schedule reproduces the endpoint.
@@ -149,19 +161,15 @@ def test_reach_plan_controls_are_extreme_only(s0):
     rng = np.random.default_rng(103)
     for _ in range(5):
         target = _interior_point(rng, region)
-        plan = reach_plan(s0, target, 1e-4, region=region)
+        plan = reach_plan(s0, target, 1e-4)
         for u, _ in plan.schedule:
             assert u in (s0.u_min, s0.u_max)
 
 
 def test_reach_plan_error_decays_per_pair(s0):
-    region = build_orbit_region(s0)
     target = np.array([0.1, -0.2])
     q2 = math.exp(2.0 * math.pi * s0.canonical.eig_real / s0.canonical.eig_imag)
-    errors = [
-        reach_plan(s0, target, 1.0, pairs=k, region=region).endpoint_error
-        for k in range(1, 6)
-    ]
+    errors = [reach_plan(s0, target, 1.0, pairs=k).endpoint_error for k in range(1, 6)]
     assert all(b <= a * 1.05 for a, b in zip(errors, errors[1:]))
     for a, b in zip(errors[:3], errors[1:4]):
         assert 0.25 * q2 <= b / a <= 4.0 * q2
@@ -172,7 +180,7 @@ def test_reach_plan_stays_inside_region(s0):
     rng = np.random.default_rng(107)
     for _ in range(5):
         target = _interior_point(rng, region)
-        plan = reach_plan(s0, target, 1e-4, region=region)
+        plan = reach_plan(s0, target, 1e-4)
         traj = simulate(s0, plan.start, plan.schedule)
         margins = region.margins_many(traj.dense_states)
         assert margins.min() >= -1e-6 * max(1.0, region.scale)
@@ -184,12 +192,21 @@ def test_reach_plan_rejects_exterior_target(s0):
     with pytest.raises(TargetNotInterior):
         # Boundary point is not interior.
         region = build_orbit_region(s0)
-        reach_plan(s0, region.p_plus, 1e-4, region=region)
+        reach_plan(s0, region.p_plus, 1e-4)
 
 
 def test_reach_plan_rejects_negative_pairs(s0):
     with pytest.raises(ValueError):
         reach_plan(s0, [0.1, -0.2], 1.0, pairs=-3)
+
+
+def test_reach_plan_typed_errors(s0, t0):
+    with pytest.raises(ValueError):
+        reach_plan(s0, [0.1, -0.2], 0.0)
+    with pytest.raises(TraceZero):
+        reach_plan(t0, [0.1, -0.2], 1e-9)
+    with pytest.raises(EpsilonTooSmall):
+        reach_plan(s0, [0.1, -0.2], 1e-300)
 
 
 def _pulled_targets(sys, region, depth, per_arc=39):
@@ -225,7 +242,7 @@ def test_reach_plan_depth_sweep_towards_the_boundary(s0):
     region = build_orbit_region(s0)
     for depth in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
         for target in _pulled_targets(s0, region, depth):
-            plan = reach_plan(s0, target, 1e-9 * region.scale, region=region)
+            plan = reach_plan(s0, target, 1e-9 * region.scale)
             assert plan.endpoint_error <= 1e-14 * region.scale
 
 
@@ -235,7 +252,7 @@ def test_reach_plan_accepts_targets_near_the_boundary(s0):
         region = build_orbit_region(sys)
         for depth in (5e-7, 1e-9, 1e-11):
             for target in _pulled_targets(sys, region, depth, per_arc=3):
-                plan = reach_plan(sys, target, 1e-9 * region.scale, region=region)
+                plan = reach_plan(sys, target, 1e-9 * region.scale)
                 assert plan.endpoint_error <= 1e-14 * region.scale
 
 
@@ -247,23 +264,6 @@ def test_reach_plan_positive_trace_runs_reversed(s0):
     # The schedule drives the time-reversed dynamics.
     traj = simulate(rev.time_reversed(), plan.start, plan.schedule)
     assert np.linalg.norm(traj.endpoint - plan.endpoint) < 1e-9
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-def test_reach_plan_runs_on_the_regions_work_system(s0, monkeypatch, reverse):
-    sys = s0.time_reversed() if reverse else s0
-    target = [0.1, -0.2]
-    plain = reach_plan(sys, target, 1e-9)
-    region = build_orbit_region(sys)
-
-    def no_second_system(self):
-        raise AssertionError("reach_plan rebuilt the time-reversed system")
-
-    monkeypatch.setattr(LinearControlSystem, "time_reversed", no_second_system)
-    with_region = reach_plan(sys, target, 1e-9, region=region)
-    assert with_region.time_reversed is plain.time_reversed is reverse
-    assert with_region.schedule == plain.schedule
-    assert np.array_equal(with_region.endpoint, plain.endpoint)
 
 
 def _slow_system(ratio, skewed):
@@ -288,7 +288,7 @@ def test_reach_plan_exact_at_slow_contraction(ratio, skewed):
     rng = np.random.default_rng(113)
     for _ in range(6):
         target = _interior_point(rng, region)
-        plan = reach_plan(sys, target, 1e-9 * scale, region=region)
+        plan = reach_plan(sys, target, 1e-9 * scale)
         assert plan.endpoint_error <= 1e-12 * scale
         assert all(u in (sys.u_min, sys.u_max) for u, _ in plan.schedule)
         traj = simulate(sys, plan.start, plan.schedule)
@@ -306,7 +306,7 @@ def test_reach_plan_replays_onto_target(sys, depth, vertex):
     centroid = poly.mean(axis=0)
     # The region is convex, so this point is interior.
     target = centroid + depth * (poly[vertex % len(poly)] - centroid)
-    plan = reach_plan(sys, target, 1e-9 * region.scale, region=region)
+    plan = reach_plan(sys, target, 1e-9 * region.scale)
     e_min = equilibrium(work, work.u_min)
     e_max = equilibrium(work, work.u_max)
     cond = np.linalg.cond(sys.canonical.basis)
@@ -335,7 +335,7 @@ def test_spiral_crossing_random_batch():
     solved = 0
     for _ in range(200):
         sys = random_system(rng, trace_sign=-1)
-        region = build_orbit_region(sys, samples_per_arc=128)
+        region = build_orbit_region(sys)
         v = _interior_point(rng, region)
         u = rng.uniform(sys.u_min, sys.u_max)
         if abs(u - sys.u_min) < 1e-3:
@@ -355,6 +355,8 @@ def test_spiral_crossing_preconditions(s0, t0):
         spiral_crossing(t0, [0.1, 0.0], 1.0)
     with pytest.raises(PreconditionViolated):
         spiral_crossing(s0.time_reversed(), [0.1, 0.0], 1.0)
+    with pytest.raises(InvalidControl):
+        spiral_crossing(s0, [0.1, 0.0], 3.0)
 
 
 def test_spiral_crossing_reports_no_crossing(s0):
@@ -372,7 +374,7 @@ def test_spiral_crossing_default_window_follows_slow_contraction():
     sys = LinearControlSystem(
         basis @ drift @ np.linalg.inv(basis), [0.6, -0.8], -1.0, 0.5
     )
-    region = build_orbit_region(sys, samples_per_arc=128)
+    region = build_orbit_region(sys)
     rng = np.random.default_rng(71)
     e_min = equilibrium(sys, sys.u_min)
     for _ in range(6):
@@ -390,7 +392,7 @@ def test_spiral_crossing_at_very_slow_contraction():
     # meets the u_min spiral after about a thousand time units, hundreds of
     # half periods into the window.
     sys = _slow_system(-0.005, skewed=True)
-    region = build_orbit_region(sys, samples_per_arc=128)
+    region = build_orbit_region(sys)
     rng = np.random.default_rng(127)
     e_min = equilibrium(sys, sys.u_min)
     for _ in range(3):

@@ -1,7 +1,9 @@
 """SVG rendering: byte-identical to the per-point formatter it replaced."""
 
 import numpy as np
+import pytest
 
+from planarcontrol.controlset import periodic_orbit
 from planarcontrol.geometry import build_orbit_region
 from planarcontrol.oracle import default_grid_spec, grid_reachable_set
 from planarcontrol.planner import reach_plan
@@ -61,15 +63,15 @@ def _layers():
     """Boundary, trajectory and occupancy layers of a system whose geometry
     straddles both axes, so coordinates of both signs are formatted."""
     sys = LinearControlSystem([[-0.4, -1.3], [0.9, -0.2]], [0.7, -1.1], -2.3, 0.6)
-    region = build_orbit_region(sys, samples_per_arc=64)
+    region = build_orbit_region(sys)
     target = 0.6 * region.p_plus + 0.4 * region.p_minus
-    plan = reach_plan(sys, target, 1e-9, region=region)
+    plan = reach_plan(sys, target, 1e-9)
     traj = simulate(sys, plan.start, plan.schedule).dense_states
     spec = default_grid_spec(sys, dx=0.15, dt=0.2, horizon=4.0)
     start = equilibrium(sys, 0.5 * (sys.u_min + sys.u_max))
     cells = grid_reachable_set(sys, start, spec).occupied_points()
     markers = [region.p_plus, region.p_minus, equilibrium(sys, sys.u_min), target]
-    return region.boundary, traj, cells, markers
+    return periodic_orbit(sys, 64).polyline(), traj, cells, markers
 
 
 def test_render_svg_matches_per_point_reference():
@@ -85,3 +87,7 @@ def test_render_svg_matches_per_point_reference():
     ):
         assert render_svg(polylines, marks) == _render_svg_per_point(polylines, marks)
 
+
+def test_render_svg_needs_a_polyline():
+    with pytest.raises(ValueError):
+        render_svg([])

@@ -51,7 +51,7 @@ def test_tracer_wraps_every_name_and_restores_it():
         tracer.install()
         for (mod, attr, _, _), original in zip(tracing.WRAPPED, originals):
             assert _resolve(mod, attr).__wrapped__ is original, f"{mod}.{attr} is not wrapped"
-        plan = planarcontrol.reach_plan(sys, [0.1, -0.2], 1e-9, region=region)
+        plan = planarcontrol.reach_plan(sys, [0.1, -0.2], 1e-9)
     finally:
         tracer.uninstall()
     for (mod, attr, _, _), original in zip(tracing.WRAPPED, originals):
