@@ -335,14 +335,17 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
     svg_layers: list[np.ndarray] = []
     svg_markers: list[np.ndarray] = []
 
-    region = None
+    region = orbit = None
     if kind is not Classification.CONTROLLABLE_TRACE_ZERO:
         region = build_orbit_region(sys_)
-        boundary = periodic_orbit(region.work_system, samples).polyline()
         report["p_plus"] = region.p_plus
         report["p_minus"] = region.p_minus
-        report["orbit_samples"] = len(boundary)
-        svg_layers.append(boundary)
+        report["orbit_samples"] = 2 * samples + 1
+        # Only analyze and the drawing read the sampled boundary.
+        if command == "analyze" or args.svg is not None:
+            orbit = periodic_orbit(region.work_system, samples)
+            boundary = orbit.polyline()
+            svg_layers.append(boundary)
         svg_markers.extend(
             [
                 region.p_plus,
@@ -360,7 +363,8 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
     elif command == "orbit":
         if region is None:
             raise TraceZero("orbit subcommand needs a nonzero trace")
-        orbit = periodic_orbit(sys_, samples)
+        if orbit is None or region.time_reversed:  # a negative-trace sys_ is its own work system
+            orbit = periodic_orbit(sys_, samples)
         rows = []
         half = orbit.half_period
         n = len(orbit.arc_minus) - 1

@@ -14,11 +14,12 @@ zero on the arc, positive inside, negative outside.  A log spiral meets every
 ray from its centre at the constant angle arg lam, so the margin equals the
 canonical-frame distance to the arc to first order.
 
-The region enclosed by the periodic orbit is symmetric under the reflection
-v -> v(u_min) + v(u_max) - v, which swaps its two half regions across their
-shared chord line (through p_minus, v(u_min), v(u_max) and p_plus).  So only
-the half about v(u_min) is kept: a point below its chord line is reflected
-first, and points on the open chord come out interior.
+The region enclosed by the periodic orbit is read in its system's unit frame
+(``LinearControlSystem.unit``: v(u_min) = -1, v(u_max) = +1), where it has
+one shape whatever the units: corners ±corner, and the symmetry w -> -w that
+swaps its two halves across the real axis.  So a point with Im w < 0 is
+reflected first, and the margin is that of the u_min arc, radius
+(1 + corner) e^{k phi} about -1.  Points on the open chord come out interior.
 """
 
 import functools
@@ -91,20 +92,20 @@ class SpiralRegion:
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "scale", frame.length)
 
-    def _arc_margins(self, w: np.ndarray) -> np.ndarray:
-        """Polar arc margin of frame coordinates w (complex, (n,)), chord
-        side ignored."""
-        phi = np.angle(w)
-        # Fold onto [0, pi]: a point on the chord line can round to a
-        # negative angle, -0.0 beside the arc start or -pi beside its end.
-        phi = np.where(phi < -0.5 * math.pi, math.pi, np.maximum(phi, 0.0))
-        k = self.frame.k
-        return (self.scale / math.hypot(1.0, k)) * (np.exp(k * phi) - np.abs(w))
-
     def margins(self, points) -> np.ndarray:
         """Full region margin (chord and arc constraints) per point (n,)."""
         w = np.atleast_1d(self.frame.to_unit(points))
-        return np.minimum(self._arc_margins(w), self.scale * w.imag)
+        return np.minimum(_arc_margins(w, 1.0, self.frame.k, self.scale), self.scale * w.imag)
+
+
+def _arc_margins(rel: np.ndarray, radius: float, k: float, length: float) -> np.ndarray:
+    """Margin length (radius e^{k phi} - |rel|)/hypot(1, k), phi = arg rel, of
+    complex offsets ``rel`` (n,) from a spiral's centre; chord side ignored."""
+    phi = np.angle(rel)
+    # Fold onto [0, pi]: a point on the chord line can round to a negative
+    # angle, -0.0 beside the arc start or -pi beside its end.
+    phi = np.where(phi < -0.5 * math.pi, math.pi, np.maximum(phi, 0.0))
+    return (length / math.hypot(1.0, k)) * (radius * np.exp(k * phi) - np.abs(rel))
 
 
 @dataclass(frozen=True)
@@ -116,15 +117,15 @@ class OrbitRegion:
     the system actually used and always has a negative trace.  ``p_plus`` and
     ``p_minus`` are ordered so that on the line through the equilibria,
     in the signed coordinate along -A^-1 eta,
-    p_minus < v(u_min) < v(u_max) < p_plus.  The region is closed-form data;
-    ``orbit`` and ``boundary`` sample it on first read.
+    p_minus < v(u_min) < v(u_max) < p_plus.  The region is closed-form data,
+    read in ``work_system.unit`` (module docstring); ``orbit`` and
+    ``boundary`` sample it on first read.
     """
 
     system: LinearControlSystem
     work_system: LinearControlSystem
     p_plus: np.ndarray
     p_minus: np.ndarray
-    half_plus: SpiralRegion
     time_reversed: bool
     scale: float
 
@@ -139,16 +140,12 @@ class OrbitRegion:
         return self.orbit.polyline()
 
     def margins_many(self, points) -> np.ndarray:
-        """Exact margin per point: the arc margin of ``half_plus``, after
-        reflecting points below its chord line through the midpoint of the
-        equilibria."""
-        half = self.half_plus
-        w = np.atleast_1d(half.frame.to_unit(points))
-        # In half_plus's frame v(u_min) is 0, v(u_max) is 1 - q and p_plus
-        # is 1, so the reflection through the midpoint of the equilibria is
-        # w -> 1 - q - w.
-        mirror = half.frame.one_minus_q
-        return half._arc_margins(np.where(w.imag < 0.0, mirror - w, w))
+        """Exact margin per point: the u_min arc margin about -1 in the unit
+        frame, after reflecting points with Im w < 0 by w -> -w."""
+        unit = self.work_system.unit
+        w = np.atleast_1d(unit.to_unit(points))
+        w = np.where(w.imag < 0.0, -w, w)
+        return _arc_margins(w + 1.0, 1.0 + unit.corner, unit.k, unit.length)
 
     def margin(self, v) -> float:
         return float(self.margins_many(as_vector(v))[0])
@@ -189,7 +186,6 @@ def build_orbit_region(sys: LinearControlSystem) -> OrbitRegion:
     reversed_ = sys.trace > 0.0
     work = sys.time_reversed() if reversed_ else sys
     p_plus, p_minus = half_turn_fixed_points(work)
-    half_plus = SpiralRegion(p_plus, equilibrium(work, work.u_min), work.canonical)
     # The corners are ±corner in the unit frame.
     scale = 2.0 * work.unit.length * work.unit.corner
     return OrbitRegion(
@@ -197,7 +193,6 @@ def build_orbit_region(sys: LinearControlSystem) -> OrbitRegion:
         work_system=work,
         p_plus=p_plus,
         p_minus=p_minus,
-        half_plus=half_plus,
         time_reversed=reversed_,
         scale=scale,
     )

@@ -271,7 +271,7 @@ def line_coordinate(v, direction) -> float:
     ZeroVector
         If ``direction`` is zero.
     OffLine
-        If ``v`` is farther than ``1e-9 * (1 + |v|)`` from the line.
+        If ``v`` is farther than ``1e-9 * |v|`` from the line.
     """
     w = as_vector(v)
     d = as_vector(direction)
@@ -282,7 +282,7 @@ def line_coordinate(v, direction) -> float:
     c = float(w @ unit)
     off = w - c * unit
     dist = math.hypot(off[0], off[1])
-    if dist > 1e-9 * (1.0 + math.hypot(w[0], w[1])):
+    if dist > 1e-9 * math.hypot(w[0], w[1]):
         raise OffLine(
             f"point {w.tolist()} is {dist:.3g} away from the line "
             f"spanned by {d.tolist()}"

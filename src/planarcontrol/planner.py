@@ -16,9 +16,9 @@ the target exactly, up to rounding.
 All constructions run in the system's unit frame (``LinearControlSystem.unit``:
 canonical points as complex numbers, v(u_min) at -1 and v(u_max) at +1, the
 flow about c being w -> c + e^{lam s}(w - c)) and emit exact-arc schedules;
-tolerances stay canonical-frame lengths.  Every plan is certified by exact
-segment endpoints: the schedule is run from its start with closed-form flows,
-at machine precision.
+tolerances scale with the system's own sizes, never with the user's units.
+Every plan is certified by exact segment endpoints: the schedule is run from
+its start with closed-form flows, at machine precision.
 """
 
 import cmath
@@ -124,12 +124,12 @@ def hop_plan(sys: LinearControlSystem, start, u_goal: float) -> PlanResult:
     goal_point = equilibrium(sys, u_goal)
     x0 = unit.to_unit(start)
     t_goal = _unit_centre(sys, u_goal)
-    # Tolerances are canonical-frame lengths: unit.length times unit-frame
-    # lengths, line coordinates counted from the canonical origin (gamma).
+    # Tolerances are unit-frame sizes: the start's and the equilibria's line
+    # coordinates, counted from the image gamma of the original origin.
     origin = unit.gamma.real
-    scale = max(1.0, unit.length * max(abs(x0.real - origin), 1.0 + abs(origin)))
-    line_tol = 1e-9 * scale / unit.length
-    point_tol = 1e-12 * scale / unit.length
+    size = max(abs(x0.real - origin), 1.0 + abs(origin))
+    line_tol = 1e-9 * size
+    point_tol = 1e-12 * size
 
     if abs(x0 - t_goal) <= point_tol:
         return _certified(sys, start, goal_point, ())
@@ -242,7 +242,7 @@ def _crossing_search(
     rate = zeta * float(cf.eig_real)  # d ln(rho)/dt on the y-curve
     turn = zeta * float(cf.eig_imag)  # d phi/dt on the y-curve
     two_pi = 2.0 * math.pi
-    slack = 1e-9 * (1.0 + t_max)
+    slack = 1e-9 * t_max
     t_lo, t_hi = -slack, t_max + slack
 
     def x_of(s):
@@ -382,8 +382,8 @@ def reach_plan(
     """Schedule from the u_min equilibrium that ends on ``target``.
 
     The target must be interior to the region enclosed by the periodic orbit.
-    From the u_min equilibrium, k pairs of extreme half turns (u_max, then
-    u_min) take it to the pair iterate x_k of :mod:`planarcontrol.planar`.
+    From the u_min equilibrium, k >= 0 pairs of extreme half turns (u_max,
+    then u_min) take it to the pair iterate x_k of :mod:`planarcontrol.planar`.
     The first k whose u_max half turn from x_k meets the target's backward
     u_min flow (at arc time t and flow time s) gives the schedule: k pairs,
     (u_max, t), (u_min, s), exact up to rounding.  Controls never leave
@@ -421,12 +421,12 @@ def reach_plan(
     region = build_orbit_region(sys)
     work = region.work_system
     target = as_vector(target)
-    scale = max(1.0, region.scale)
+    scale = region.scale
     if region.margin(target) <= 1e-12 * scale:
         raise TargetNotInterior("reach target must be interior to the region")
 
-    # Unit frame: v(u_min) is -1 and v(u_max) is +1; tolerances stay
-    # canonical-frame lengths (unit.length times unit-frame lengths).
+    # Unit frame: v(u_min) is -1 and v(u_max) is +1; tolerances are
+    # canonical-frame lengths relative to the region's scale.
     unit = work.unit
     er = work.canonical.eig_real
     half = work.half_period
@@ -450,7 +450,7 @@ def reach_plan(
     if pairs is not None:
         k, found = pairs, exit_through(-unit.corner)
     else:
-        k, x_prev, found = 0, None, None
+        k, x_prev, found = -1, None, None
         while found is None:
             k += 1
             x = unit.pair_iterate(k)

@@ -119,7 +119,8 @@ class LinearControlSystem:
         return LinearControlSystem(-self.a, -self.eta, self.u_min, self.u_max)
 
     def control_in_range(self, u: float) -> bool:
-        pad = 1e-9 * (1.0 + max(abs(self.u_min), abs(self.u_max)))
+        """Whether u is in [u_min, u_max], padded by 1e-9 max(|u_min|, |u_max|)."""
+        pad = 1e-9 * max(abs(self.u_min), abs(self.u_max))
         return self.u_min - pad <= u <= self.u_max + pad
 
     def propagator(self, t: float) -> np.ndarray:

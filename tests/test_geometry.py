@@ -304,6 +304,25 @@ def test_margin_is_first_order_canonical_distance(unit_region):
         for side in (1.0, -1.0):
             margin = unit_region.margins(arc + side * d * outward)[0]
             assert margin == pytest.approx(-side * d, rel=1e-3)
+    # The same holds on both arcs of the orbit region of random skewed
+    # systems of either trace sign, in the work system's canonical frame.
+    # Each arc turns counter-clockwise there, so the outward normal is its
+    # tangent turned a quarter turn clockwise.
+    rng = np.random.default_rng(71)
+    for i in range(20):
+        region = build_orbit_region(random_system(rng, trace_sign=1 if i % 2 else -1))
+        work = region.work_system
+        cf = work.canonical
+        d = 1e-6 * region.scale
+        s = work.half_period * np.linspace(0.05, 0.95, 7)
+        for start, u in ((region.p_plus, work.u_min), (region.p_minus, work.u_max)):
+            arc = flow(work, s, start, u)
+            tangent = cf.to_canonical((arc - equilibrium(work, u)) @ work.a.T)
+            outward = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+            outward /= np.linalg.norm(outward, axis=1, keepdims=True)
+            for side in (1.0, -1.0):
+                margins = region.margins_many(arc + side * d * outward @ cf.basis.T)
+                np.testing.assert_allclose(margins, -side * d, rtol=1e-3)
 
 
 def test_exterior_distance_examples(s0):
@@ -337,9 +356,12 @@ def test_forward_invariance_random_systems():
     for _ in range(30):
         sys = random_system(rng, trace_sign=-1)
         region = build_orbit_region(sys)
-        pts = np.array([_sample_inside(rng, region.half_plus) for _ in range(5)])
-        # also sample from the other half
         work = region.work_system
+        half_plus = SpiralRegion(
+            region.p_plus, equilibrium(work, work.u_min), work.canonical
+        )
+        pts = np.array([_sample_inside(rng, half_plus) for _ in range(5)])
+        # also sample from the other half
         half_minus = SpiralRegion(
             region.p_minus, equilibrium(work, work.u_max), work.canonical
         )
@@ -376,7 +398,11 @@ def test_backward_invariance_positive_trace():
     for _ in range(15):
         sys = random_system(rng, trace_sign=1)
         region = build_orbit_region(sys)
-        v = _sample_inside(rng, region.half_plus)
+        work = region.work_system
+        half_plus = SpiralRegion(
+            region.p_plus, equilibrium(work, work.u_min), work.canonical
+        )
+        v = _sample_inside(rng, half_plus)
         u = rng.uniform(sys.u_min, sys.u_max)
         s = rng.uniform(0.0, 3.0 * sys.half_period)
         moved = flow(sys, -s, v, u)

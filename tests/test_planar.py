@@ -192,7 +192,8 @@ def test_line_coordinate_examples():
 
 
 def test_line_coordinate_rejects_off_line_and_zero():
-    with pytest.raises(OffLine):
-        line_coordinate([1.0, 1.0], [1.0, 0.0])
+    for size in (1.0, 1e-12):  # the allowance scales with the point
+        with pytest.raises(OffLine):
+            line_coordinate([size, size], [1.0, 0.0])
     with pytest.raises(ZeroVector):
         line_coordinate([1.0, 1.0], [0.0, 0.0])

@@ -59,6 +59,14 @@ def test_hop_plan_rejects_goal_outside_range(t0):
         hop_plan(t0, [0.0, 1.0], 3.0)
 
 
+def test_hop_plan_control_pad_is_relative_to_the_range():
+    # Rounding pads the range by 1e-9 of its bounds, not by 1e-9 absolute:
+    # 5e-10 lies 500 half-widths from the centre of [-1e-12, 1e-12].
+    sys = LinearControlSystem([[0.0, -1.0], [1.0, 0.0]], [1.0, 0.0], -1e-12, 1e-12)
+    with pytest.raises(InvalidControl):
+        hop_plan(sys, [0.0, 1e-11], 5e-10)
+
+
 def test_hop_plan_random_systems_accuracy_and_bound():
     rng = np.random.default_rng(97)
     for _ in range(60):
@@ -173,6 +181,15 @@ def test_reach_plan_error_decays_per_pair(s0):
     assert all(b <= a * 1.05 for a, b in zip(errors, errors[1:]))
     for a, b in zip(errors[:3], errors[1:4]):
         assert 0.25 * q2 <= b / a <= 4.0 * q2
+
+
+def test_reach_plan_starts_from_zero_pairs(s0):
+    # The u_max half turn from v(u_min) itself (k = 0) already meets this
+    # target's backward u_min flow.
+    plan = reach_plan(s0, [0.1, -0.2], 1e-9)
+    assert len(plan.schedule) == 2
+    assert [u for u, _ in plan.schedule] == [s0.u_max, s0.u_min]
+    assert plan.endpoint_error <= 1e-14 * build_orbit_region(s0).scale
 
 
 def test_reach_plan_stays_inside_region(s0):
@@ -412,3 +429,72 @@ def _interior_point(rng, region, shrink=0.8):
         v = rng.uniform(lo, hi)
         if region.margin(v) > (1 - shrink) * 0.05 * region.scale:
             return v
+
+
+# Length units the answers must not depend on: eta -> c eta scales every
+# point of the plane by c and leaves times and controls as they are.
+_RESCALES = (1e-12, 1e-6, 1e6, 1e12)
+
+
+def _rescaled(sys, c):
+    return LinearControlSystem(sys.a, c * sys.eta, sys.u_min, sys.u_max)
+
+
+@pytest.mark.parametrize("c", _RESCALES)
+def test_region_and_reach_plan_do_not_depend_on_the_length_unit(c):
+    rng = np.random.default_rng(131)
+    for i in range(40):
+        sys = random_system(rng, trace_sign=1 if i % 2 else -1)
+        region = build_orbit_region(sys)
+        scaled = build_orbit_region(_rescaled(sys, c))
+        tol = 1e-12 * c * region.scale
+        np.testing.assert_allclose(scaled.p_plus, c * region.p_plus, rtol=0, atol=tol)
+        np.testing.assert_allclose(scaled.p_minus, c * region.p_minus, rtol=0, atol=tol)
+        lo, hi = region.boundary.min(axis=0), region.boundary.max(axis=0)
+        pts = rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), (200, 2))
+        np.testing.assert_allclose(
+            scaled.margins_many(c * pts), c * region.margins_many(pts), rtol=0, atol=tol
+        )
+        assert [scaled.contains(c * p).verdict for p in pts] == [
+            region.contains(p).verdict for p in pts
+        ]
+        target = _interior_point(rng, region)
+        plan = reach_plan(sys, target, 1e-9 * region.scale)
+        again = reach_plan(scaled.system, c * target, 1e-9 * scaled.scale)
+        assert [u for u, _ in again.schedule] == [u for u, _ in plan.schedule]
+        np.testing.assert_allclose(
+            [dt for _, dt in again.schedule], [dt for _, dt in plan.schedule], rtol=1e-9
+        )
+        assert again.endpoint_error <= 1e-13 * scaled.scale
+
+
+@pytest.mark.parametrize("c", _RESCALES)
+def test_hop_plan_does_not_depend_on_the_length_unit(c):
+    rng = np.random.default_rng(137)
+    for i in range(40):
+        sys = random_trace_zero_system(rng, normal=i % 2 == 0)
+        start = rng.normal(0.0, 5.0, 2)
+        u_goal = rng.uniform(sys.u_min, sys.u_max)
+        plan = hop_plan(sys, start, u_goal)
+        again = hop_plan(_rescaled(sys, c), c * start, u_goal)
+        assert again.hops == plan.hops
+        bound = 1e-12 * c * np.linalg.norm(start) * (1 + again.hops)
+        assert again.endpoint_error <= bound
+
+
+@pytest.mark.parametrize("c", [1e9, 1e12])
+def test_reach_plan_does_not_depend_on_the_time_unit(c):
+    # A -> c A with eta -> c eta keeps every point and divides times by c.
+    rng = np.random.default_rng(139)
+    for i in range(40):
+        sys = random_system(rng, trace_sign=1 if i % 2 else -1)
+        region = build_orbit_region(sys)
+        target = _interior_point(rng, region)
+        plan = reach_plan(sys, target, 1e-9 * region.scale)
+        fast = LinearControlSystem(c * sys.a, c * sys.eta, sys.u_min, sys.u_max)
+        again = reach_plan(fast, target, 1e-9 * region.scale)
+        assert [u for u, _ in again.schedule] == [u for u, _ in plan.schedule]
+        np.testing.assert_allclose(
+            [c * dt for _, dt in again.schedule], [dt for _, dt in plan.schedule], rtol=1e-9
+        )
+        assert again.endpoint_error <= 1e-13 * region.scale
