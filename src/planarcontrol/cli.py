@@ -335,17 +335,15 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
     svg_layers: list[np.ndarray] = []
     svg_markers: list[np.ndarray] = []
 
-    region = orbit = None
+    region = None
     if kind is not Classification.CONTROLLABLE_TRACE_ZERO:
         region = build_orbit_region(sys_)
         report["p_plus"] = region.p_plus
         report["p_minus"] = region.p_minus
-        report["orbit_samples"] = 2 * samples + 1
-        # Only analyze and the drawing read the sampled boundary.
-        if command == "analyze" or args.svg is not None:
-            orbit = periodic_orbit(region.work_system, samples)
-            boundary = orbit.polyline()
-            svg_layers.append(boundary)
+        orbit = periodic_orbit(region.work_system, samples)
+        boundary = orbit.polyline()
+        report["orbit_samples"] = len(boundary)
+        svg_layers.append(boundary)
         svg_markers.extend(
             [
                 region.p_plus,
@@ -363,7 +361,7 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
     elif command == "orbit":
         if region is None:
             raise TraceZero("orbit subcommand needs a nonzero trace")
-        if orbit is None or region.time_reversed:  # a negative-trace sys_ is its own work system
+        if region.time_reversed:  # a negative-trace sys_ is its own work system
             orbit = periodic_orbit(sys_, samples)
         rows = []
         half = orbit.half_period

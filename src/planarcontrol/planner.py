@@ -124,12 +124,13 @@ def hop_plan(sys: LinearControlSystem, start, u_goal: float) -> PlanResult:
     goal_point = equilibrium(sys, u_goal)
     x0 = unit.to_unit(start)
     t_goal = _unit_centre(sys, u_goal)
-    # Tolerances are unit-frame sizes: the start's and the equilibria's line
-    # coordinates, counted from the image gamma of the original origin.
-    origin = unit.gamma.real
-    size = max(abs(x0.real - origin), 1.0 + abs(origin))
-    line_tol = 1e-9 * size
-    point_tol = 1e-12 * size
+    # Tolerances are fractions of the stride, a unit-frame length, and not of
+    # the coordinates' magnitude: the control range may sit far from zero.
+    # Below the coordinates' rounding both stay correct: reflections about
+    # -1 and +1 are exact in floating point, and a start off the line by
+    # rounding only gets one more arc.
+    line_tol = 1e-9
+    point_tol = 1e-12
 
     if abs(x0 - t_goal) <= point_tol:
         return _certified(sys, start, goal_point, ())

@@ -67,6 +67,18 @@ def test_hop_plan_control_pad_is_relative_to_the_range():
         hop_plan(sys, [0.0, 1e-11], 5e-10)
 
 
+@pytest.mark.parametrize("lo", [1e6, 1e9])
+def test_hop_plan_accuracy_does_not_depend_on_where_the_range_sits(lo):
+    # The equilibrium of u is (0, u) and the stride is 2, wherever the range
+    # sits; the answers may lose only the rounding of coordinates near lo.
+    sys = LinearControlSystem([[0.0, -1.0], [1.0, 0.0]], [1.0, 0.0], lo, lo + 2.0)
+    off_line = [-0.5, lo]
+    past_window = [0.0, lo + 3.0 + 5e-10 * lo]  # just past the final arc's reach
+    for start in (off_line, past_window):
+        plan = hop_plan(sys, start, lo + 1.0)
+        assert plan.endpoint_error <= 1e-9 + 1e-15 * lo, start
+
+
 def test_hop_plan_random_systems_accuracy_and_bound():
     rng = np.random.default_rng(97)
     for _ in range(60):
