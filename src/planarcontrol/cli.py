@@ -276,7 +276,11 @@ def _analysis_checks(region, poly: np.ndarray, seed: int) -> list[dict]:
     """Checks of ``region`` and ``poly``, its sampled boundary polyline."""
     work = region.work_system
     half = work.half_period
-    scale = max(1.0, region.scale)
+    scale = region.scale
+    # Rounding in original coordinates grows with their magnitude, which a
+    # control range far from zero makes large next to the scale.
+    magnitude = max(np.linalg.norm(region.p_plus), np.linalg.norm(region.p_minus))
+    closure_tol = 1e-9 * (scale + magnitude)
     res_minus = float(
         np.linalg.norm(flow(work, half, region.p_plus, work.u_min) - region.p_minus)
     )
@@ -300,9 +304,9 @@ def _analysis_checks(region, poly: np.ndarray, seed: int) -> list[dict]:
         ss = rng.uniform(0.0, 3.0 * half, len(inside))
         worst = float(region.margins_many(flow(work, ss, inside, us)).min())
     return [
-        _check("half_turn_closure_to_p_minus", res_minus < 1e-9 * scale, res_minus),
-        _check("half_turn_closure_to_p_plus", res_plus < 1e-9 * scale, res_plus),
-        _check("boundary_polyline_closed", closure < 1e-9 * scale, closure),
+        _check("half_turn_closure_to_p_minus", res_minus < closure_tol, res_minus),
+        _check("half_turn_closure_to_p_plus", res_plus < closure_tol, res_plus),
+        _check("boundary_polyline_closed", closure < closure_tol, closure),
         _check("equilibrium_line_order", order_margin > 0.0, order_margin),
         _check("forward_invariance_sample", worst >= -1e-6 * scale, worst),
     ]
@@ -340,10 +344,11 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
         region = build_orbit_region(sys_)
         report["p_plus"] = region.p_plus
         report["p_minus"] = region.p_minus
-        orbit = periodic_orbit(region.work_system, samples)
-        boundary = orbit.polyline()
-        report["orbit_samples"] = len(boundary)
-        svg_layers.append(boundary)
+        report["orbit_samples"] = 2 * samples + 1  # both arcs, shared ends once
+        if command in ("analyze", "orbit") or args.svg is not None:
+            orbit = periodic_orbit(region.work_system, samples)
+            boundary = orbit.polyline()
+            svg_layers.append(boundary)
         svg_markers.extend(
             [
                 region.p_plus,

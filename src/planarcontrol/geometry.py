@@ -166,7 +166,9 @@ class OrbitRegion:
 
         Exterior distances are measured to ``boundary``, the polyline of
         1,024 samples per arc, and converge to the true distance as the
-        sampling grows.
+        sampling grows.  ``polyline_distance`` projects the point only onto
+        the blocks of 32 boundary segments whose bounding box can hold the
+        nearest one.
         """
         if self.contains(v).is_exterior:
             return float(polyline_distance(as_vector(v), self.boundary)[0])
@@ -213,30 +215,96 @@ def line_order_coordinates(region: OrbitRegion) -> dict[str, float]:
     }
 
 
-def polyline_distance(points, polyline: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each query point to a polyline (segments).
+# Segments per block of ``polyline_distance``'s pruned search, and elements
+# per temporary array (16,384 float64 values, about 128 KB, stay in cache).
+_BLOCK = 32
+_CHUNK = 16384
+# Relative widening of the block test.  A computed squared distance to a
+# segment is within a few tens of ulps of (distance + longest segment)^2,
+# and 256 ulps of the upper bound and of the longest squared segment length
+# cover that with room to spare.
+_SLACK = 256.0 * np.finfo(float).eps
 
-    ``points`` is (2,) or (n, 2); ``polyline`` is (m, 2) with m >= 2.
+
+def polyline_distance(points, polyline: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each query point to a polyline of m segments.
+
+    ``points`` is (2,) or (n, 2); ``polyline`` is (m + 1, 2) with m >= 1.
+
+    An exact two-stage search, branch-and-bound nearest-neighbour pruning
+    (Fukunaga and Narendra, 1975) applied to runs of consecutive segments:
+
+    1. The segments fall into blocks of 32 (fewer if m < 32), each with the
+       axis-aligned box of its vertices.  For each point, the squared gap to
+       a block's box is a lower bound on the squared distance to the block's
+       segments, and the smallest squared distance to a block's first vertex
+       is an upper bound on the answer.
+    2. Only the blocks whose lower bound does not exceed the upper bound go
+       through the clamped projection onto each of their segments.
+
+    The upper bound is widened by ``_SLACK`` for rounding, so no block that
+    holds the nearest segment is dropped, and the result is bit-for-bit that
+    of projecting every point onto every segment.  Around a sampled orbit
+    boundary an exterior point keeps about 3 of 64 blocks.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     poly = np.asarray(polyline, dtype=float)
+    m = len(poly) - 1
+    if m < 1:
+        raise ValueError("a polyline needs at least two vertices")
     ax, ay = poly[:-1, 0], poly[:-1, 1]
     dx, dy = poly[1:, 0] - ax, poly[1:, 1] - ay
-    inv_len2 = 1.0 / np.maximum(dx * dx + dy * dy, 1e-300)
+    len2 = dx * dx + dy * dy
+    inv_len2 = 1.0 / np.maximum(len2, 1e-300)
+    block = min(_BLOCK, m)
+    firsts = np.arange(0, m, block)
+    nb = len(firsts)
+    # Segment data per block, (5, nb, block); the last block repeats the
+    # last segment, which leaves every minimum unchanged.
+    segs = np.empty((5, nb * block))
+    segs[:, :m] = ax, ay, dx, dy, inv_len2
+    segs[:, m:] = segs[:, m - 1 : m]
+    segs = segs.reshape(5, nb, block)
+    # Box of each block's vertices: its own, then the next block's first.
+    heads = poly[firsts]
+    box_lo = np.minimum.reduceat(poly, firsts)
+    box_hi = np.maximum.reduceat(poly, firsts)
+    np.minimum(box_lo[:-1], heads[1:], out=box_lo[:-1])
+    np.maximum(box_hi[:-1], heads[1:], out=box_hi[:-1])
+    widen = _SLACK * len2.max()
     out = np.empty(len(pts))
-    # Rows per chunk keep each (chunk, m) temporary near 128 KB, in cache.
-    chunk = max(1, 16384 // max(1, len(ax)))
-    for lo in range(0, len(pts), chunk):
-        rx = pts[lo : lo + chunk, 0:1] - ax  # (c, m)
-        ry = pts[lo : lo + chunk, 1:2] - ay
-        t = rx * dx
-        t += ry * dy
-        t *= inv_len2
-        np.clip(t, 0.0, 1.0, out=t)
-        rx -= t * dx
-        ry -= t * dy
-        rx *= rx
-        ry *= ry
-        rx += ry
-        out[lo : lo + chunk] = np.sqrt(rx.min(axis=1))
+    rows_per_chunk = max(1, _CHUNK // nb)
+    pairs_per_chunk = max(1, _CHUNK // block)
+    for lo in range(0, len(pts), rows_per_chunk):
+        px = pts[lo : lo + rows_per_chunk, 0:1]  # (c, 1)
+        py = pts[lo : lo + rows_per_chunk, 1:2]
+        gx = np.maximum(np.maximum(box_lo[:, 0] - px, px - box_hi[:, 0]), 0.0)  # (c, nb)
+        gy = np.maximum(np.maximum(box_lo[:, 1] - py, py - box_hi[:, 1]), 0.0)
+        lower = gx * gx + gy * gy
+        vx = px - heads[:, 0]
+        vy = py - heads[:, 1]
+        upper = (vx * vx + vy * vy).min(axis=1)
+        bound = upper * (1.0 + _SLACK) + widen
+        # "Not above" rather than "at most", so a NaN keeps every block.
+        rows, blocks = np.nonzero(~(lower > bound[:, None]))
+        best = np.empty(len(rows))  # per (point, block) pair
+        for k in range(0, len(rows), pairs_per_chunk):
+            r = rows[k : k + pairs_per_chunk]
+            sx, sy, sdx, sdy, sinv = segs[:, blocks[k : k + pairs_per_chunk]]  # (K, block)
+            rx = px[r] - sx
+            ry = py[r] - sy
+            t = rx * sdx
+            t += ry * sdy
+            t *= sinv
+            np.clip(t, 0.0, 1.0, out=t)
+            rx -= t * sdx
+            ry -= t * sdy
+            rx *= rx
+            ry *= ry
+            rx += ry
+            pair_starts = np.arange(0, rx.size, block)
+            best[k : k + pairs_per_chunk] = np.minimum.reduceat(rx.ravel(), pair_starts)
+        # Every row keeps at least the block of its nearest first vertex.
+        first = np.searchsorted(rows, np.arange(len(px)))
+        out[lo : lo + rows_per_chunk] = np.sqrt(np.minimum.reduceat(best, first))
     return out

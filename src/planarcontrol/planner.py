@@ -345,14 +345,15 @@ def spiral_crossing(
         raise PreconditionViolated("spiral crossing requires a negative trace")
     if not sys.control_in_range(u):
         raise InvalidControl(f"control {u} outside range")
-    urange = max(1.0, abs(sys.u_min), abs(sys.u_max))
-    if abs(u - sys.u_min) <= 1e-12 * urange:
+    if u - sys.u_min <= 1e-12 * (sys.u_max - sys.u_min):
         raise PreconditionViolated("u must differ from u_min")
-    # Unit frame: v(u_min) is -1, tolerances stay canonical-frame lengths.
+    # Unit frame: v(u_min) is -1 and v(u_max) is +1, so its lengths are
+    # relative to the system; tolerances are relative to the start's
+    # distance from v(u_min) plus that unit.
     unit = sys.unit
     v_w = unit.to_unit(as_vector(v))
-    scale = 1.0 + unit.length * abs(v_w - unit.gamma)
-    if abs(v_w + 1.0) * unit.length <= 1e-12 * scale:
+    size = 1.0 + abs(v_w + 1.0)
+    if abs(v_w + 1.0) <= 1e-12 * size:
         return 0.0, 0.0
     e_u = _unit_centre(sys, u)
     if window_halfperiods is None:
@@ -365,7 +366,7 @@ def spiral_crossing(
     s_max = window_halfperiods * half
     t_max = window_halfperiods * half
     found = _crossing_search(sys, -1.0, v_w, 1.0, s_max, e_u, -1.0, zeta=-1.0, t_max=t_max)
-    if found is None or found[2] * unit.length > tol * scale:
+    if found is None or found[2] > tol * size:
         residual = "n/a" if found is None else f"{found[2] * unit.length:.3g}"
         raise NoIntersectionFound(
             f"no spiral crossing within {window_halfperiods:.6g} half-periods "

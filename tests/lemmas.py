@@ -3,7 +3,8 @@
 The package decides membership with the closed-form log-spiral margin; these
 helpers check the steps behind it on samples: the tangent margin of a moving
 spiral is nonnegative, a spiral region is invariant, and the distance to the
-enclosed region contracts (or expands) at the rate e^{s eig_real}.
+enclosed region contracts (or expands) at the rate e^{s eig_real}.  The
+all-pairs polyline distance is the reference of the package's pruned one.
 """
 
 import math
@@ -179,3 +180,33 @@ def distance_bound_slack(sys, samples, rng, samples_per_arc: int = 4096):
             worst_expansion = max(worst_expansion, float(slack.max()))
         violations += int((slack > 0.0).sum())
     return violations, worst_contraction, worst_expansion
+
+
+def all_pairs_distance(points, polyline: np.ndarray) -> np.ndarray:
+    """Distance from each point to a polyline, projecting onto every segment.
+
+    The same clamped projection, in the same floating-point operations, as
+    ``polyline_distance`` runs on the blocks it keeps, so the two agree bit
+    for bit.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    poly = np.asarray(polyline, dtype=float)
+    ax, ay = poly[:-1, 0], poly[:-1, 1]
+    dx, dy = poly[1:, 0] - ax, poly[1:, 1] - ay
+    inv_len2 = 1.0 / np.maximum(dx * dx + dy * dy, 1e-300)
+    out = np.empty(len(pts))
+    chunk = max(1, 16384 // len(ax))
+    for lo in range(0, len(pts), chunk):
+        rx = pts[lo : lo + chunk, 0:1] - ax  # (c, m)
+        ry = pts[lo : lo + chunk, 1:2] - ay
+        t = rx * dx
+        t += ry * dy
+        t *= inv_len2
+        np.clip(t, 0.0, 1.0, out=t)
+        rx -= t * dx
+        ry -= t * dy
+        rx *= rx
+        ry *= ry
+        rx += ry
+        out[lo : lo + chunk] = np.sqrt(rx.min(axis=1))
+    return out

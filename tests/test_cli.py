@@ -1,11 +1,14 @@
 """Command-line contract: exit codes for malformed configs, no partial
 artifacts on failure, byte-identical reruns, and the artifact schemas."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from planarcontrol.cli import main
+from planarcontrol.cli import _analysis_checks, main
+from planarcontrol.controlset import periodic_orbit
 from planarcontrol.geometry import build_orbit_region
 from planarcontrol.oracle import grid_reachable_set
 from planarcontrol.system import LinearControlSystem
@@ -170,8 +173,8 @@ def test_extreme_length_scales(tmp_path, capsys, c):
     assert code == 0
     checks = json.loads((out / "analyze.json").read_text())["checks"]
     assert all(check["passed"] for check in checks)
-    # The CLI's closure bound has a floor of 1e-9 that passes any residual
-    # below scale 1; hold the residuals to the region's own scale.
+    # The CLI's closure bound also grows with |p±|; hold the residuals to
+    # the region's own scale.
     closures = [check for check in checks if "clos" in check["name"]]
     assert len(closures) == 3
     assert all(check["margin"] < 1e-9 * scale for check in closures)
@@ -182,6 +185,57 @@ def test_extreme_length_scales(tmp_path, capsys, c):
     assert code == 0
     assert json.loads((out / "plan.json").read_text())["endpoint_error"] <= 1e-13 * scale
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # A skewed system whose closure checks failed under a bound of
+        # 1e-9 * max(1, scale), which has no term in the coordinates.
+        {**BASE, "a": [[-0.7226, 1.6421], [-0.3817, -1.2973]],
+         "eta": [0.6274, 0.0216], "omega": [1e9, 1e9 + 2]},
+        {**BASE, "omega": [-1e9 - 2.0, -1e9]},
+    ],
+)
+def test_analyze_checks_pass_for_a_range_far_from_zero(tmp_path, doc):
+    code, out = _run(tmp_path, "analyze", doc)
+    assert code == 0
+    checks = json.loads((out / "analyze.json").read_text())["checks"]
+    assert all(check["passed"] for check in checks), checks
+
+
+def test_closure_checks_catch_a_moved_fixed_point_at_a_tiny_scale():
+    region = build_orbit_region(LinearControlSystem(BASE["a"], [1e-12, 0.0], -1.0, 1.0))
+    poly = periodic_orbit(region.work_system, 256).polyline()
+    assert all(check["passed"] for check in _analysis_checks(region, poly, 0))
+    along = region.work_system.inv_a_eta  # keeps p_plus on the equilibrium line
+    shift = 1e-6 * region.scale * along / np.linalg.norm(along)
+    moved = dataclasses.replace(region, p_plus=region.p_plus + shift)
+    passed = {check["name"]: check["passed"] for check in _analysis_checks(moved, poly, 0)}
+    assert not passed["half_turn_closure_to_p_minus"]
+    assert not passed["half_turn_closure_to_p_plus"]
+
+
+@pytest.mark.parametrize("command", ["member", "plan", "reach"])
+@pytest.mark.parametrize("trace", ["negative", "positive"])
+def test_orbit_is_sampled_only_when_read(tmp_path, capsys, monkeypatch, command, trace):
+    doc = SMALL if trace == "negative" else {**SMALL, "a": [[1.0, -1.0], [1.0, 1.0]]}
+    runs = {}
+    for name, extra in (("svg", ("--svg", str(tmp_path / "p.svg"))), ("plain", ())):
+        if name == "plain":  # without --svg nothing reads the sampled orbit
+            def no_orbit(*args, **kwargs):
+                raise AssertionError("orbit sampled without a reader")
+
+            monkeypatch.setattr("planarcontrol.cli.periodic_orbit", no_orbit)
+        sub = tmp_path / name
+        sub.mkdir()
+        code, out = _run(sub, command, doc, *extra)
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("files")[-1].endswith("p.svg") == (name == "svg")
+        runs[name] = report, {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs["plain"] == runs["svg"]
+    assert runs["plain"][0]["orbit_samples"] == 2 * SMALL["samples"] + 1
 
 
 def test_zero_trace_plan_at_a_tiny_length_scale(tmp_path):

@@ -24,12 +24,15 @@ from planarcontrol.system import LinearControlSystem, equilibrium, flow
 
 from conftest import (
     converged_fixed_points,
+    random_complex_matrix,
+    random_control_data,
     random_normal_system,
     random_system,
     series_expm,
 )
 from lemmas import (
     OutOfDomain,
+    all_pairs_distance,
     angle_between,
     spiral_membership,
     tangent_margin,
@@ -436,6 +439,8 @@ def test_polyline_distance_basics():
     poly = np.array([[0.0, 0.0], [1.0, 0.0]])
     d = polyline_distance(np.array([[0.5, 0.7], [2.0, 0.0], [-1.0, 0.0]]), poly)
     np.testing.assert_allclose(d, [0.7, 1.0, 1.0], atol=1e-15)
+    with pytest.raises(ValueError):
+        polyline_distance([0.5, 0.7], poly[:1])
 
 
 def _series_boundary(a, eta, u_min, u_max, per_arc=2**17):
@@ -583,8 +588,8 @@ def test_polyline_distance_matches_segment_loop(segments):
     rng = np.random.default_rng(67 + segments)
     poly = np.cumsum(rng.normal(0.0, 1.0, (segments + 1, 2)), axis=0)
     poly[2] = poly[1]  # a zero-length segment
-    # Enough queries to span several of the kernel's 16,384-pair chunks
-    # (and, with 3 segments, more than 1,024 points).
+    # With 3 segments (one block) the queries span three of the pruned
+    # search's chunks of 16,384 // 3 (point, block) pairs.
     n = 2 * (16384 // segments) + 3
     pts = rng.uniform(poly.min(axis=0) - 1.0, poly.max(axis=0) + 1.0, (n, 2))
     pts[0] = poly[1]  # on the vertex of the zero-length segment
@@ -593,3 +598,40 @@ def test_polyline_distance_matches_segment_loop(segments):
     want = [_segment_loop_distance(p, poly) for p in pts]
     np.testing.assert_allclose(d, want, rtol=0.0, atol=1e-14 * np.abs(poly).max())
     assert d[0] == 0.0 and d[-1] == 0.0
+
+
+@pytest.mark.parametrize("trace_sign", [-1, 1])
+@pytest.mark.parametrize("clockwise", [False, True])
+def test_polyline_distance_equals_all_pairs_on_orbit_boundaries(trace_sign, clockwise):
+    rng = np.random.default_rng([73, trace_sign + 1, clockwise])
+    a = random_complex_matrix(rng, trace_sign)  # skewed basis
+    if (a[1, 0] < 0.0) != clockwise:
+        flip = np.diag([1.0, -1.0])
+        a = flip @ a @ flip  # same trace, other rotation sense
+    region = build_orbit_region(LinearControlSystem(a, *random_control_data(rng)))
+    poly = region.boundary
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    pad = 0.25 * (hi - lo)
+    # More points than one 256-row chunk, inside and outside the orbit.
+    pts = np.vstack([rng.uniform(lo - pad, hi + pad, (600, 2)), poly[::97]])
+    assert (region.margins_many(pts) < 0.0).any() and (region.margins_many(pts) > 0.0).any()
+    assert np.array_equal(polyline_distance(pts, poly), all_pairs_distance(pts, poly))
+
+
+@pytest.mark.parametrize("segments", [1, 3, 31, 33, 2048])
+@pytest.mark.parametrize("size, offset", [(1.0, 0.0), (1e-12, 0.0), (1e12, 0.0), (1.0, 1e9)])
+def test_polyline_distance_equals_all_pairs_on_random_walks(segments, size, offset):
+    rng = np.random.default_rng(79 + segments)
+    poly = np.cumsum(rng.normal(0.0, 1.0, (segments + 1, 2)), axis=0)
+    if segments >= 3:
+        poly[2] = poly[1]  # zero-length segments, one inside a block
+        poly[-1] = poly[-2]  # and the last one
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    mids = 0.5 * (poly[:-1] + poly[1:])
+    far = np.array([[1e6, 0.0], [-3e5, 7e5], [0.0, -1e6]])
+    pts = np.vstack([rng.uniform(lo - 1.0, hi + 1.0, (300, 2)), poly, mids[::3], far])
+    poly, pts = offset + size * poly, offset + size * pts
+    got = polyline_distance(pts, poly)
+    assert np.array_equal(got, all_pairs_distance(pts, poly))
+    if offset == 0.0:
+        assert (got[300 : 300 + len(poly)] == 0.0).all()  # on the vertices

@@ -377,6 +377,32 @@ def test_spiral_crossing_random_batch():
     assert solved == 200
 
 
+def test_spiral_crossing_at_a_tiny_length_scale(s0):
+    # eta (1e-12, 0) shrinks the plane by 1e-12: a start 5e-13 from v(u_min)
+    # is half the distance between the equilibria away, not a trivial start.
+    sys = LinearControlSystem(s0.a, [1e-12, 0.0], s0.u_min, s0.u_max)
+    e_min = equilibrium(sys, sys.u_min)
+    v = e_min + [0.0, 5e-13]
+    s_at, t_at = spiral_crossing(sys, v, sys.u_max)
+    assert s_at > 0.0 and t_at > 0.0
+    gap = flow(sys, s_at, v, sys.u_min) - flow(sys, -t_at, e_min, sys.u_max)
+    size = np.linalg.norm(equilibrium(sys, sys.u_max) - e_min)
+    assert np.linalg.norm(gap) < 1e-9 * size
+
+
+def test_spiral_crossing_control_range_far_from_zero(s0):
+    # The u = u_min test is relative to the range's width, not |u|.
+    sys = LinearControlSystem(s0.a, s0.eta, 1e9, 1e9 + 2.0)
+    e_min = equilibrium(sys, sys.u_min)
+    v = e_min + [0.2, 0.1]
+    u = sys.u_min + 1e-4  # 5e-5 of the width
+    s_at, t_at = spiral_crossing(sys, v, u)
+    gap = flow(sys, s_at, v, sys.u_min) - flow(sys, -t_at, e_min, u)
+    assert np.linalg.norm(gap) < 1e-9 * np.linalg.norm(e_min)
+    with pytest.raises(PreconditionViolated):
+        spiral_crossing(sys, v, sys.u_min)
+
+
 def test_spiral_crossing_preconditions(s0, t0):
     with pytest.raises(PreconditionViolated):
         spiral_crossing(s0, [0.1, 0.0], s0.u_min)
