@@ -204,38 +204,26 @@ def test_analyze_checks_pass_for_a_range_far_from_zero(tmp_path, doc):
     assert all(check["passed"] for check in checks), checks
 
 
-def test_closure_checks_catch_a_moved_fixed_point_at_a_tiny_scale():
-    region = build_orbit_region(LinearControlSystem(BASE["a"], [1e-12, 0.0], -1.0, 1.0))
+@pytest.mark.parametrize(
+    "eta, omega, move",
+    [
+        ([1e-12, 0.0], [-1.0, 1.0], 1e-6),  # a tiny scale
+        # Far from zero p± lie about 4.6e8 * scale out, where rounding alone
+        # leaves residuals near 1e-7 * scale; a move 1e4 times that must show.
+        ([1.0, 0.0], [1e9, 1e9 + 2.0], 1e-3),
+    ],
+    ids=["tiny_scale", "far_range"],
+)
+def test_closure_checks_catch_a_moved_fixed_point(eta, omega, move):
+    region = build_orbit_region(LinearControlSystem(BASE["a"], eta, *omega))
     poly = periodic_orbit(region.work_system, 256).polyline()
     assert all(check["passed"] for check in _analysis_checks(region, poly, 0))
     along = region.work_system.inv_a_eta  # keeps p_plus on the equilibrium line
-    shift = 1e-6 * region.scale * along / np.linalg.norm(along)
+    shift = move * region.scale * along / np.linalg.norm(along)
     moved = dataclasses.replace(region, p_plus=region.p_plus + shift)
     passed = {check["name"]: check["passed"] for check in _analysis_checks(moved, poly, 0)}
     assert not passed["half_turn_closure_to_p_minus"]
     assert not passed["half_turn_closure_to_p_plus"]
-
-
-@pytest.mark.parametrize("command", ["member", "plan", "reach"])
-@pytest.mark.parametrize("trace", ["negative", "positive"])
-def test_orbit_is_sampled_only_when_read(tmp_path, capsys, monkeypatch, command, trace):
-    doc = SMALL if trace == "negative" else {**SMALL, "a": [[1.0, -1.0], [1.0, 1.0]]}
-    runs = {}
-    for name, extra in (("svg", ("--svg", str(tmp_path / "p.svg"))), ("plain", ())):
-        if name == "plain":  # without --svg nothing reads the sampled orbit
-            def no_orbit(*args, **kwargs):
-                raise AssertionError("orbit sampled without a reader")
-
-            monkeypatch.setattr("planarcontrol.cli.periodic_orbit", no_orbit)
-        sub = tmp_path / name
-        sub.mkdir()
-        code, out = _run(sub, command, doc, *extra)
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report.pop("files")[-1].endswith("p.svg") == (name == "svg")
-        runs[name] = report, {p.name: p.read_bytes() for p in out.iterdir()}
-    assert runs["plain"] == runs["svg"]
-    assert runs["plain"][0]["orbit_samples"] == 2 * SMALL["samples"] + 1
 
 
 def test_zero_trace_plan_at_a_tiny_length_scale(tmp_path):

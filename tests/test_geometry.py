@@ -631,7 +631,35 @@ def test_polyline_distance_equals_all_pairs_on_random_walks(segments, size, offs
     far = np.array([[1e6, 0.0], [-3e5, 7e5], [0.0, -1e6]])
     pts = np.vstack([rng.uniform(lo - 1.0, hi + 1.0, (300, 2)), poly, mids[::3], far])
     poly, pts = offset + size * poly, offset + size * pts
+    # Points near the origin; with an offset they lie nearer the origin than
+    # the polyline does, so a last block padded with segments at the origin
+    # would report |p|.
+    pts = np.vstack([pts, size * rng.uniform(-1.0, 1.0, (20, 2))])
     got = polyline_distance(pts, poly)
     assert np.array_equal(got, all_pairs_distance(pts, poly))
     if offset == 0.0:
         assert (got[300 : 300 + len(poly)] == 0.0).all()  # on the vertices
+
+
+@pytest.mark.parametrize(
+    "first, last_but_one, point",
+    [
+        # ``first`` 1 ulp nearer than the origin.
+        ((0.4185717192571917, 0.32904306351775003), (-711.929, -182.481),
+         (0.12202639193164433, 0.2755232499683522)),
+        # ``first`` about 4,000 ulps nearer than the origin, beyond the 256
+        # relative ulps; the slack's term in the longest segment covers it.
+        ((0.014138425527918, 0.034004466482552), (-610.6, -35.9), (0.006988, 0.017036)),
+    ],
+)
+def test_polyline_distance_keeps_a_block_tied_with_the_upper_bound(first, last_but_one, point):
+    # 33 segments: block 0 runs from ``first`` straight away from ``point``,
+    # block 1 is one long segment ending at the origin.  ``point`` lies
+    # about as far from ``first`` (block 0's head) as from the origin (block
+    # 1's box corner), and projecting onto the long segment rounds below the
+    # box gap; a block test without slack drops block 1 and misses that value.
+    first, pt = np.array(first), np.array([point])
+    poly = np.vstack(
+        [first, first + np.outer(np.arange(1, 32), first - pt[0]), last_but_one, [0.0, 0.0]]
+    )
+    assert np.array_equal(polyline_distance(pt, poly), all_pairs_distance(pt, poly))
