@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import build_orbit_region, line_order_coordinates
-from .oracle import GridSpec, ReachSet, default_grid_spec, grid_reachable_set
+from .oracle import GridSpec, ReachSet, default_grid_spec, default_grid_steps, grid_reachable_set
 from .planner import hop_plan, reach_plan
 from .svg import render_svg
 from .system import LinearControlSystem, equilibrium, flow, simulate
@@ -68,9 +68,10 @@ class SystemConfig:
     samples: int = 256
     epsilon: float = 1e-4
     seed: int = 0
-    dx: float = 0.02
-    dt: float = 0.05
-    horizon: float = 30.0
+    # None: a share of the system's own sizes (oracle.default_grid_steps).
+    dx: float | None = None
+    dt: float | None = None
+    horizon: float | None = None
     bounds: tuple | None = None
     point: np.ndarray | None = None
     start: np.ndarray | None = None
@@ -193,7 +194,7 @@ def parse_config(text: str) -> SystemConfig:
             setattr(cfg, key, int(value) if integral else value)
     for key, ok, rule in _RANGES:
         value = getattr(cfg, key)
-        if not (math.isfinite(value) and ok(value)):
+        if value is not None and not (math.isfinite(value) and ok(value)):
             raise ValidationError(f"field '{key}' must be finite and {rule}")
     if "bounds" in grid:
         b = _floats(grid["bounds"], "grid.bounds")
@@ -430,30 +431,30 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
             start = equilibrium(sys_, 0.5 * (sys_.u_min + sys_.u_max))
         start = np.asarray(start, dtype=float)
         try:
-            if cfg.bounds is not None:
-                spec = GridSpec(bounds=cfg.bounds, dx=dx, dt=dt, horizon=horizon)
+            # Steps not in the config follow the orbit's extent or, at zero
+            # trace, the spacing of the extreme equilibria.
+            if region is not None:
+                base = default_grid_spec(sys_, dx=dx, dt=dt, horizon=horizon)
+                bounds = list(base.bounds)
+                dx, dt, horizon = base.dx, base.dt, base.horizon
             else:
-                if region is not None:
-                    base = default_grid_spec(sys_, dx=dx, dt=dt, horizon=horizon)
-                    bounds = list(base.bounds)
-                else:
-                    anchors = np.vstack(
-                        [
-                            equilibrium(sys_, sys_.u_min),
-                            equilibrium(sys_, sys_.u_max),
-                            start,
-                        ]
-                    )
-                    c = anchors.mean(axis=0)
-                    hs = max(float(np.abs(anchors - c).max()) * 3.0, 10.0 * dx)
-                    bounds = [c[0] - hs, c[0] + hs, c[1] - hs, c[1] + hs]
+                e_min, e_max = equilibrium(sys_, sys_.u_min), equilibrium(sys_, sys_.u_max)
+                spacing = float(np.linalg.norm(e_max - e_min))
+                dx, dt, horizon = default_grid_steps(sys_, spacing, dx, dt, horizon)
+                anchors = np.vstack([e_min, e_max, start])
+                c = anchors.mean(axis=0)
+                hs = max(float(np.abs(anchors - c).max()) * 3.0, 10.0 * dx)
+                bounds = [c[0] - hs, c[0] + hs, c[1] - hs, c[1] + hs]
+            if cfg.bounds is not None:
+                bounds = list(cfg.bounds)
+            else:
                 # Grow the default box if the start sits outside it.
                 pad = 2.0 * dx
                 bounds[0] = min(bounds[0], start[0] - pad)
                 bounds[1] = max(bounds[1], start[0] + pad)
                 bounds[2] = min(bounds[2], start[1] - pad)
                 bounds[3] = max(bounds[3], start[1] + pad)
-                spec = GridSpec(bounds=tuple(bounds), dx=dx, dt=dt, horizon=horizon)
+            spec = GridSpec(bounds=tuple(bounds), dx=dx, dt=dt, horizon=horizon)
             reach = grid_reachable_set(sys_, start, spec)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc

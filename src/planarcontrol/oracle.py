@@ -19,6 +19,7 @@ __all__ = [
     "GridSpec",
     "ReachSet",
     "default_grid_spec",
+    "default_grid_steps",
     "grid_reachable_set",
     "hausdorff",
 ]
@@ -79,17 +80,38 @@ class GridSpec:
         return np.stack([x, y], axis=1)
 
 
+def default_grid_steps(
+    sys: LinearControlSystem,
+    length: float,
+    dx: float | None = None,
+    dt: float | None = None,
+    horizon: float | None = None,
+) -> tuple[float, float, float]:
+    """(dx, dt, horizon), each given or else a share of the system's own
+    sizes: dx is 1/64 of ``length``, dt 1/64 of a half period and the horizon
+    10 half periods.  So a default grid has the same shape in any unit of
+    length or time."""
+    half = sys.half_period
+    return (
+        length / 64.0 if dx is None else dx,
+        half / 64.0 if dt is None else dt,
+        10.0 * half if horizon is None else horizon,
+    )
+
+
 def default_grid_spec(
     sys: LinearControlSystem,
-    dx: float = 0.02,
-    dt: float = 0.05,
-    horizon: float = 30.0,
+    dx: float | None = None,
+    dt: float | None = None,
+    horizon: float | None = None,
 ) -> GridSpec:
     """Grid bounds from the periodic orbit's bounding box, inflated 3 times
-    about its center."""
+    about its center; the steps default (:func:`default_grid_steps`) to
+    shares of the box's longer side and of the half period."""
     xmin, xmax, ymin, ymax = periodic_orbit(sys).bounding_box()
     cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
     hx, hy = 1.5 * (xmax - xmin), 1.5 * (ymax - ymin)
+    dx, dt, horizon = default_grid_steps(sys, max(xmax - xmin, ymax - ymin), dx, dt, horizon)
     return GridSpec(bounds=(cx - hx, cx + hx, cy - hy, cy + hy), dx=dx, dt=dt, horizon=horizon)
 
 

@@ -186,14 +186,6 @@ class UnitFrame:
         w = self.alpha * p[..., 0] + self.beta * p[..., 1] + self.gamma
         return complex(w) if p.ndim == 1 else w
 
-    def from_unit(self, w) -> np.ndarray:
-        """Original coordinates (..., 2) of complex frame coordinates w."""
-        d = np.asarray(w, dtype=complex) - self.gamma
-        det = (self.alpha * self.beta.conjugate()).imag
-        x = (d * self.beta.conjugate()).imag / det
-        y = -(d * self.alpha.conjugate()).imag / det
-        return np.stack([x, y], axis=-1)
-
 
 def canonicalize(a) -> CanonicalForm:
     """Compute the rotation-scaling normal form of ``a``.

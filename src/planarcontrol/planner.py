@@ -201,8 +201,12 @@ def loop_plan(sys: LinearControlSystem, start, u_goal: float) -> PlanResult:
     return _certified(sys, hop.goal, as_vector(start), schedule)
 
 
-# Crossing-scan steps per half period.
-_SCAN_PER_HALF = 128
+# Crossing-scan steps: the largest change of the level function over one
+# step, in radians (its levels are 2 pi apart), and the longest and shortest
+# step, in half periods.
+_STEP_G = 0.5
+_STEP_MAX = 0.25
+_STEP_FLOOR = 1.0 / 128
 
 
 def _crossing_search(
@@ -220,21 +224,41 @@ def _crossing_search(
 
     Points are Python complex numbers in the unit frame (``sys.unit``).  The
     x-curve is ``x_center + e^{xi s lam}(x_base - x_center)``, s in
-    [0, s_max].  The y-curve, run around ``y_center`` from ``y_base`` with
-    time direction ``zeta``, is the level set g in 2 pi Z of
-    g = phi - ang0 - ln(rho/r0)/k (phi, rho: polar angle and radius about
-    y_center; ang0, r0: those of y_base; k = eig_real/eig_imag), reached at
-    time t = ln(rho/r0)/(zeta eig_real).  The scan follows g along the
-    x-curve, unwrapping phi (never g, which moves by more than pi per step
-    when |k| is small), and bisects each multiple of 2 pi that g passes.
-    Where g turns back, the scan is redone with the turn as a scan point, so
-    no step holds two roots of one level.  Inside g, t is clamped to the
-    window [0, t_max] plus a slack, so g stays finite at rho = 0.  Returns (s, t, residual) of the first root in scan
-    order whose t lies in the window, or None; the residual is in frame
-    units.
+    [0, s_max], with x_base != x_center.  The y-curve, run around
+    ``y_center`` from ``y_base`` with time direction ``zeta``, is the level
+    set g in 2 pi Z of g = phi - ang0 - ln(rho/r0)/k (phi, rho: polar angle
+    and radius about y_center; ang0, r0: those of y_base;
+    k = eig_real/eig_imag), reached at time t = ln(rho/r0)/(zeta eig_real).
+    Inside g, t is clamped to the window [0, t_max] plus a slack, so g stays
+    finite at rho = 0.
+
+    The scan follows g along the x-curve, unwrapping phi (never g, which
+    moves by more than pi per step when |k| is small).  Along the x-curve
+    |x'| = |lam| |x - x_center| and |dg/ds| <= c |x'|/rho, c = sqrt(1 + 1/k^2),
+    so a step on which the x-curve travels L < rho(s_a) moves g by at most
+    V = c L/(rho(s_a) - L).  Each step is the longest with V <= 0.5 rad, but
+    no shorter than 1/128 of a half period and no longer than 1/4 of one.
+    The cap keeps turns of g apart: dg/ds vanishes where the x-curve crosses
+    one of two fixed circles through y_center, as a rule twice per turn
+    about x_center, and a step spans at most an eighth of a turn.  Where
+    dg/ds changes sign over a step, g passes the step's ends by at most
+    (V - |g_b - g_a|)/2; if a level lies within that, the step is split at
+    the turn, the root of dg/ds, so no piece holds two roots of one level.
+    A step is searched only if its t, which moves by at most
+    V/(c |zeta eig_real|) over it, can reach the window.
+
+    Each multiple of 2 pi that g passes in a piece is a root, solved by
+    Illinois regula falsi with each step kept within ITP's distance of the
+    bracket's midpoint (Oliveira and Takahashi, 2020), so a solve takes no
+    more steps than bisection, up to rounding.  It stops once the bracket is
+    no wider than the spacing of floats at its upper end, and returns the
+    end whose residual is smaller.  Returns (s, t, residual) of the first
+    root in scan order whose t lies in the window, or None; the residual is
+    in frame units.
     """
     cf = sys.canonical
     lam = cf.lam
+    lam_x = xi * lam  # the x-curve is x_center + e^{lam_x s} x_rel
     x_rel = x_base - x_center
     rel = y_base - y_center
     r0 = abs(rel)
@@ -242,79 +266,109 @@ def _crossing_search(
     # Python floats: numpy scalars would slow every step of the scan.
     rate = zeta * float(cf.eig_real)  # d ln(rho)/dt on the y-curve
     turn = zeta * float(cf.eig_imag)  # d phi/dt on the y-curve
+    inv_k = turn / rate
     two_pi = 2.0 * math.pi
     slack = 1e-9 * t_max
     t_lo, t_hi = -slack, t_max + slack
 
-    def x_of(s):
-        return x_center + spiral_arc(lam, xi * s, x_rel, 1j * x_rel)
-
     def level(s, phi_near):
         # The x-curve's polar angle about y_center (on the branch nearest
-        # phi_near), its y-curve time and the level function g.
-        d = x_of(s) - y_center
+        # phi_near), its y-curve time, g, dg/ds and rho.
+        rot = cmath.exp(lam_x * s) * x_rel
+        d = x_center + rot - y_center
+        rho = abs(d)
         phi = phi_near + (math.atan2(d.imag, d.real) - phi_near + math.pi) % two_pi - math.pi
-        t = math.log(max(abs(d), 1e-300) / r0) / rate
-        return phi, t, phi - ang0 - turn * min(max(t, t_lo), t_hi)
+        t = math.log(max(rho, 1e-300) / r0) / rate
+        w = lam_x * rot / d if rho else 0j  # d ln(d)/ds = dln(rho)/ds + i dphi/ds
+        if t_lo <= t <= t_hi:
+            return phi, t, phi - ang0 - turn * t, w.imag - inv_k * w.real, rho
+        return phi, t, phi - ang0 - turn * min(max(t, t_lo), t_hi), w.imag, rho
+
+    def solve(a, b, col, target):
+        # The end (s, level(s)) with the smaller |level(s)[col] - target| of
+        # the sign-change bracket [a, b].  Bisection needs n steps to narrow
+        # it to tol; each step lands within r of the midpoint, which keeps
+        # the bracket within tol 2^n as n counts down.
+        (s_a, st_a), (s_b, st_b) = a, b
+        f_a, f_b = st_a[col] - target, st_b[col] - target
+        w_a, w_b, side = f_a, f_b, 0  # Illinois weights
+        tol = math.ulp(s_b)
+        n = math.ceil(math.log2((s_b - s_a) / tol)) if s_b - s_a > tol else 0
+        while f_a and f_b and s_b - s_a > tol:
+            half_width = 0.5 * (s_b - s_a)
+            mid = s_a + half_width
+            r = math.ldexp(tol, n) - half_width
+            n -= 1
+            s = min(max((s_a * w_b - s_b * w_a) / (w_b - w_a), mid - r), mid + r)
+            if not s_a < s < s_b:
+                s = mid
+            st = level(s, st_a[0])
+            f = st[col] - target
+            if (f < 0.0) == (f_a < 0.0):
+                s_a, st_a, f_a, w_a = s, st, f, f
+                if side < 0:
+                    w_b *= 0.5
+                side = -1
+            else:
+                s_b, st_b, f_b, w_b = s, st, f, f
+                if side > 0:
+                    w_a *= 0.5
+                side = 1
+        return (s_a, st_a) if abs(f_a) <= abs(f_b) else (s_b, st_b)
 
     half = math.pi / cf.eig_imag
-    n = max(2, int(math.ceil(s_max / half * _SCAN_PER_HALF)))
-    s_grid = np.linspace(0.0, s_max, n + 1).tolist()
+    h_floor, h_cap = _STEP_FLOOR * half, _STEP_MAX * half
+    mu = xi * float(cf.eig_real)  # d ln|x - x_center|/ds
+    speed = abs(lam) * abs(x_rel)  # |x'| at s = 0
+    c = abs(lam) / abs(float(cf.eig_real))
+    travel = _STEP_G / (c + _STEP_G)  # L/rho(s_a) at which V = _STEP_G
+    t_spread = 0.5 / (c * abs(rate))  # t's overshoot per unit of V
 
-    s_a = 0.0
-    phi_a, t_a, g_a = level(s_a, 0.0)
-    dg_a = 0.0  # g_a minus g at the scan point before s_a
-    i, split_to = 1, 0  # steps i <= split_to are already split at a turn
-    while i < len(s_grid):
-        s_b = s_grid[i]
-        phi_b, t_b, g_b = level(s_b, phi_a)
-        dg_b = g_b - g_a
-        if dg_a * dg_b < 0.0 and i > split_to:
-            # g turned back between s_grid[i - 2] and s_b, and passes g_a by
-            # less than |dg_a| + |dg_b| (8 times a parabola's overshoot).  If
-            # a level lies within that, locate the turn by golden section
-            # and rescan from s_grid[i - 2] with it as a scan point.
-            reach = g_a + math.copysign(abs(dg_a) + abs(dg_b), dg_a)
-            if math.floor(reach / two_pi) != math.floor(g_a / two_pi):
-                sign, lo, hi = math.copysign(1.0, dg_a), s_grid[i - 2], s_b
-                for _ in range(80):
-                    m1 = hi - 0.6180339887498949 * (hi - lo)
-                    m2 = lo + 0.6180339887498949 * (hi - lo)
-                    if sign * level(m1, phi_a)[2] < sign * level(m2, phi_a)[2]:
-                        lo = m1
-                    else:
-                        hi = m2
-                s_grid.insert(i - 1 if lo + hi < 2.0 * s_a else i, 0.5 * (lo + hi))
-                split_to, i = i + 1, i - 1
-                s_a = s_grid[i - 1]
-                phi_a, t_a, g_a = level(s_a, phi_a)
-                continue
-        if not (max(t_a, t_b) < t_lo or min(t_a, t_b) > t_hi):
-            # Multiples of 2 pi between g_a and g_b, in scan order.
-            if g_a <= g_b:
-                levels = range(math.ceil(g_a / two_pi), math.floor(g_b / two_pi) + 1)
-            else:
-                levels = range(math.floor(g_a / two_pi), math.ceil(g_b / two_pi) - 1, -1)
-            for m in levels:
-                lo, hi = s_a, s_b
-                phi_lo, f_lo = phi_a, g_a - two_pi * m
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    phi_m, _, g_m = level(mid, phi_lo)
-                    f_m = g_m - two_pi * m
-                    if f_lo * f_m <= 0.0:
-                        hi = mid
-                    else:
-                        lo, phi_lo, f_lo = mid, phi_m, f_m
-                s_root = 0.5 * (lo + hi)
-                t_root = level(s_root, phi_lo)[1]
-                if t_lo <= t_root <= t_hi:
-                    t_root = min(max(t_root, 0.0), t_max)
-                    y = y_center + spiral_arc(lam, zeta * t_root, rel, 1j * rel)
-                    return s_root, t_root, abs(x_of(s_root) - y)
-        s_a, phi_a, t_a, g_a, dg_a = s_b, phi_b, t_b, g_b, dg_b
-        i += 1
-    return None
+    s_a, st_a = 0.0, level(0.0, 0.0)
+    while True:
+        phi_a, t_a, g_a, dg_a, rho_a = st_a
+        # The longest step on which the x-curve travels, v (e^{mu h} - 1)/mu,
+        # at most budget; v is |x'| at s_a.
+        budget = travel * rho_a
+        v = speed * math.exp(mu * s_a)
+        h = math.log1p(mu * budget / v) / mu if mu * budget > -v else math.inf
+        h = min(h, h_cap)
+        var = _STEP_G  # bounds g's total variation over the step
+        if h < h_floor:
+            h = h_floor
+            moved = v * math.expm1(mu * h) / mu
+            var = c * moved / (rho_a - moved) if moved < rho_a else math.inf
+        s_b = min(s_a + h, s_max)
+        st_b = level(s_b, phi_a)
+        t_b, g_b, dg_b = st_b[1], st_b[2], st_b[3]
+        t_mid, t_ext = 0.5 * (t_a + t_b), t_spread * var
+        if t_mid - t_ext <= t_hi and t_mid + t_ext >= t_lo:
+            pieces = [(s_a, st_a), (s_b, st_b)]
+            if dg_a * dg_b < 0.0:
+                # g turns inside the step; split it at the turn if a level
+                # lies between the turn's bound and the step's ends.
+                sign = math.copysign(1.0, dg_a)
+                edge = max(sign * g_a, sign * g_b)
+                if two_pi * (math.floor(edge / two_pi) + 1.0) <= 0.5 * (sign * (g_a + g_b) + var):
+                    pieces.insert(1, solve(pieces[0], pieces[1], 3, 0.0))
+            for (s_p, st_p), (s_q, st_q) in zip(pieces, pieces[1:]):
+                # Multiples of 2 pi between g at the piece's ends, in scan order.
+                g_p, g_q = st_p[2], st_q[2]
+                if g_p <= g_q:
+                    levels = range(math.ceil(g_p / two_pi), math.floor(g_q / two_pi) + 1)
+                else:
+                    levels = range(math.floor(g_p / two_pi), math.ceil(g_q / two_pi) - 1, -1)
+                for m in levels:
+                    s_root, st_root = solve((s_p, st_p), (s_q, st_q), 2, two_pi * m)
+                    t_root = st_root[1]
+                    if t_lo <= t_root <= t_hi:
+                        t_root = min(max(t_root, 0.0), t_max)
+                        x = x_center + cmath.exp(lam_x * s_root) * x_rel
+                        y = y_center + spiral_arc(lam, zeta * t_root, rel, 1j * rel)
+                        return s_root, t_root, abs(x - y)
+        if s_b >= s_max:
+            return None
+        s_a, st_a = s_b, st_b
 
 
 def spiral_crossing(

@@ -4,18 +4,31 @@ The package decides membership with the closed-form log-spiral margin; these
 helpers check the steps behind it on samples: the tangent margin of a moving
 spiral is nonnegative, a spiral region is invariant, and the distance to the
 enclosed region contracts (or expands) at the rate e^{s eig_real}.  The
-all-pairs polyline distance is the reference of the package's pruned one.
+all-pairs polyline distance is the reference of the package's pruned one, and
+the fixed-step crossing scan with bisected roots that of its crossing search.
 """
 
+import contextlib
 import math
 
 import numpy as np
 
+from planarcontrol import planner
 from planarcontrol.controlset import periodic_orbit
 from planarcontrol.errors import PreconditionViolated, ZeroVector
 from planarcontrol.geometry import Membership, build_orbit_region, polyline_distance
 from planarcontrol.planar import QUARTER_TURN, as_vector, spiral_arc
 from planarcontrol.system import flow
+
+
+def from_unit(frame, w) -> np.ndarray:
+    """Original coordinates (..., 2) of complex coordinates w of a
+    ``UnitFrame``: the inverse of ``frame.to_unit``."""
+    d = np.asarray(w, dtype=complex) - frame.gamma
+    det = (frame.alpha * frame.beta.conjugate()).imag
+    x = (d * frame.beta.conjugate()).imag / det
+    y = -(d * frame.alpha.conjugate()).imag / det
+    return np.stack([x, y], axis=-1)
 
 
 class OutOfDomain(ValueError):
@@ -121,7 +134,7 @@ def worst_invariance_margin(region, w1, w2, s_samples: int = 128) -> float:
     sigma = abs(math.atan2(diff.imag, diff.real))
     s = np.linspace(0.0, (math.pi - sigma) / cf.eig_imag, s_samples)
     moving = b + spiral_arc(cf.lam, s, diff, 1j * diff).ravel()
-    return float(region.margins(region.frame.from_unit(moving)).min())
+    return float(region.margins(from_unit(region.frame, moving)).min())
 
 
 def distance_bound_slack(sys, samples, rng, samples_per_arc: int = 4096):
@@ -210,3 +223,117 @@ def all_pairs_distance(points, polyline: np.ndarray) -> np.ndarray:
         rx += ry
         out[lo : lo + chunk] = np.sqrt(rx.min(axis=1))
     return out
+
+
+def scan_bisect_crossing_search(
+    sys,
+    x_center: complex,
+    x_base: complex,
+    xi: float,
+    s_max: float,
+    y_center: complex,
+    y_base: complex,
+    zeta: float,
+    t_max: float,
+):
+    """``planner._crossing_search`` as a fixed scan and bisection.
+
+    The scan takes 128 steps per half period and bisects each root for 80
+    steps; a turn of g is located by 80 golden-section steps and the scan is
+    redone with it as a scan point.  It takes the same arguments and returns
+    the same (s, t, residual) or None, and is the reference of the package's
+    bound-sized scan and superlinear roots.
+    """
+    cf = sys.canonical
+    lam = cf.lam
+    x_rel = x_base - x_center
+    rel = y_base - y_center
+    r0 = abs(rel)
+    ang0 = math.atan2(rel.imag, rel.real)
+    # Python floats: numpy scalars would slow every step of the scan.
+    rate = zeta * float(cf.eig_real)  # d ln(rho)/dt on the y-curve
+    turn = zeta * float(cf.eig_imag)  # d phi/dt on the y-curve
+    two_pi = 2.0 * math.pi
+    slack = 1e-9 * t_max
+    t_lo, t_hi = -slack, t_max + slack
+
+    def x_of(s):
+        return x_center + spiral_arc(lam, xi * s, x_rel, 1j * x_rel)
+
+    def level(s, phi_near):
+        # The x-curve's polar angle about y_center (on the branch nearest
+        # phi_near), its y-curve time and the level function g.
+        d = x_of(s) - y_center
+        phi = phi_near + (math.atan2(d.imag, d.real) - phi_near + math.pi) % two_pi - math.pi
+        t = math.log(max(abs(d), 1e-300) / r0) / rate
+        return phi, t, phi - ang0 - turn * min(max(t, t_lo), t_hi)
+
+    half = math.pi / cf.eig_imag
+    n = max(2, int(math.ceil(s_max / half * 128)))
+    s_grid = np.linspace(0.0, s_max, n + 1).tolist()
+
+    s_a = 0.0
+    phi_a, t_a, g_a = level(s_a, 0.0)
+    dg_a = 0.0  # g_a minus g at the scan point before s_a
+    i, split_to = 1, 0  # steps i <= split_to are already split at a turn
+    while i < len(s_grid):
+        s_b = s_grid[i]
+        phi_b, t_b, g_b = level(s_b, phi_a)
+        dg_b = g_b - g_a
+        if dg_a * dg_b < 0.0 and i > split_to:
+            # g turned back between s_grid[i - 2] and s_b, and passes g_a by
+            # less than |dg_a| + |dg_b| (8 times a parabola's overshoot).  If
+            # a level lies within that, locate the turn by golden section
+            # and rescan from s_grid[i - 2] with it as a scan point.
+            reach = g_a + math.copysign(abs(dg_a) + abs(dg_b), dg_a)
+            if math.floor(reach / two_pi) != math.floor(g_a / two_pi):
+                sign, lo, hi = math.copysign(1.0, dg_a), s_grid[i - 2], s_b
+                for _ in range(80):
+                    m1 = hi - 0.6180339887498949 * (hi - lo)
+                    m2 = lo + 0.6180339887498949 * (hi - lo)
+                    if sign * level(m1, phi_a)[2] < sign * level(m2, phi_a)[2]:
+                        lo = m1
+                    else:
+                        hi = m2
+                s_grid.insert(i - 1 if lo + hi < 2.0 * s_a else i, 0.5 * (lo + hi))
+                split_to, i = i + 1, i - 1
+                s_a = s_grid[i - 1]
+                phi_a, t_a, g_a = level(s_a, phi_a)
+                continue
+        if not (max(t_a, t_b) < t_lo or min(t_a, t_b) > t_hi):
+            # Multiples of 2 pi between g_a and g_b, in scan order.
+            if g_a <= g_b:
+                levels = range(math.ceil(g_a / two_pi), math.floor(g_b / two_pi) + 1)
+            else:
+                levels = range(math.floor(g_a / two_pi), math.ceil(g_b / two_pi) - 1, -1)
+            for m in levels:
+                lo, hi = s_a, s_b
+                phi_lo, f_lo = phi_a, g_a - two_pi * m
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    phi_m, _, g_m = level(mid, phi_lo)
+                    f_m = g_m - two_pi * m
+                    if f_lo * f_m <= 0.0:
+                        hi = mid
+                    else:
+                        lo, phi_lo, f_lo = mid, phi_m, f_m
+                s_root = 0.5 * (lo + hi)
+                t_root = level(s_root, phi_lo)[1]
+                if t_lo <= t_root <= t_hi:
+                    t_root = min(max(t_root, 0.0), t_max)
+                    y = y_center + spiral_arc(lam, zeta * t_root, rel, 1j * rel)
+                    return s_root, t_root, abs(x_of(s_root) - y)
+        s_a, phi_a, t_a, g_a, dg_a = s_b, phi_b, t_b, g_b, dg_b
+        i += 1
+    return None
+
+
+@contextlib.contextmanager
+def reference_crossing_search():
+    """Run ``reach_plan`` and ``spiral_crossing`` on the reference search."""
+    saved = planner._crossing_search
+    planner._crossing_search = scan_bisect_crossing_search
+    try:
+        yield
+    finally:
+        planner._crossing_search = saved

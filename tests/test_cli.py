@@ -393,6 +393,37 @@ def test_reach_csv_is_repr_of_occupied_points(tmp_path, monkeypatch, doc):
     assert (out / "reach.csv").read_text() == want
 
 
+@pytest.mark.parametrize("doc", [BASE, ZERO_TRACE], ids=["negative", "zero"])
+def test_default_reach_grid_does_not_depend_on_the_length_unit(tmp_path, monkeypatch, doc):
+    # The default dx follows the orbit (or, at zero trace, the equilibria) and
+    # dt and the horizon the half period, so eta -> c eta scales the grid's
+    # bounds and steps by c and keeps its shape and its sweep, up to cells
+    # that rounding moves across an edge.
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(grid_reachable_set(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr("planarcontrol.cli.grid_reachable_set", spy)
+    specs = []
+    for c in (1.0, 1e-12, 1e12):
+        scaled = {**doc, "eta": [c * x for x in doc["eta"]]}
+        run_dir = tmp_path / str(c)
+        run_dir.mkdir()
+        code, _ = _run(run_dir, "reach", scaled)
+        assert code == 0
+        specs.append(seen[-1].spec)
+        assert seen[-1].steps_run == seen[0].steps_run
+        assert seen[-1].occupied_count() == pytest.approx(seen[0].occupied_count(), rel=1e-3)
+    ref = specs[0]
+    assert 10_000 <= ref.shape[0] * ref.shape[1] <= 100_000
+    for spec, c in zip(specs, (1.0, 1e-12, 1e12)):
+        assert spec.shape == ref.shape
+        assert spec.dx == pytest.approx(c * ref.dx, rel=1e-12)
+        assert (spec.dt, spec.horizon) == (ref.dt, ref.horizon)
+
+
 def _call(argv):
     """Exit code of one in-process run; argparse errors exit through SystemExit."""
     try:

@@ -18,6 +18,7 @@ from planarcontrol.planar import line_coordinate
 from planarcontrol.system import LinearControlSystem, equilibrium, flow
 
 from conftest import converged_fixed_points, random_system, random_trace_zero_system
+from lemmas import from_unit
 
 
 def _geometric_sum_oracle(sys, n):
@@ -40,7 +41,7 @@ def _geometric_sum_oracle(sys, n):
 
 def _pair_iterate(sys, n):
     """The unit frame's pair iterate x_n in original coordinates."""
-    return sys.unit.from_unit(sys.unit.pair_iterate(n))
+    return from_unit(sys.unit, sys.unit.pair_iterate(n))
 
 
 def _pair_replay(sys, n):
@@ -68,7 +69,7 @@ def test_iterates_match_geometric_sums_random():
         sys = random_system(rng, trace_sign=-1)
         expect = _geometric_sum_oracle(sys, 10)
         for n in range(6):
-            got = sys.unit.from_unit(-sys.unit.pair_iterate(n))
+            got = from_unit(sys.unit, -sys.unit.pair_iterate(n))
             e = expect[2 * n]
             assert np.linalg.norm(got - e) < 1e-9 * (1.0 + np.linalg.norm(e))
 

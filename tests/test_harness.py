@@ -1,8 +1,12 @@
-"""The package's export lists and the test harness itself."""
+"""The package's export lists and imports, and the test harness itself."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +30,19 @@ def test_hypothesis_failure_report_imports_without_warnings():
             importlib.import_module("hypothesis.extra._patching")
         except ImportError:
             pytest.skip("hypothesis's patching module needs libcst")
+
+
+def test_import_loads_no_scipy():
+    # The package and its CLI run on numpy alone; a scipy import would add to
+    # the start-up time and memory of every caller.
+    code = (
+        "import sys, planarcontrol, planarcontrol.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(planarcontrol.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"

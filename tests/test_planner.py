@@ -1,5 +1,6 @@
 """Hop planning (zero trace), reach planning, and spiral crossings."""
 
+import cmath
 import math
 
 import numpy as np
@@ -17,10 +18,11 @@ from planarcontrol.errors import (
     TraceZero,
 )
 from planarcontrol.geometry import build_orbit_region
-from planarcontrol.planner import hop_plan, loop_plan, reach_plan, spiral_crossing
+from planarcontrol.planner import _crossing_search, hop_plan, loop_plan, reach_plan, spiral_crossing
 from planarcontrol.system import LinearControlSystem, equilibrium, flow, flow_many, simulate
 
 from conftest import random_system, random_trace_zero_system, scaled_expm, systems
+from lemmas import reference_crossing_search, scan_bisect_crossing_search
 
 EPS = np.finfo(float).eps
 
@@ -347,6 +349,79 @@ def test_reach_plan_replays_onto_target(sys, depth, vertex):
         v = scaled_expm(work.a, dt) @ (v - center) + center
     phase = abs(work.canonical.lam) * sum(dt for _, dt in plan.schedule)
     assert np.linalg.norm(v - target) <= 16.0 * EPS * ref * (1.0 + phase)
+
+
+def _assert_matches_reference(sys, target):
+    """reach_plan against the fixed-step scan with bisected roots: the same
+    pair count, and the same (t, s) within 1e-12, relative to each time or
+    (near 0) to the half period."""
+    work = sys.time_reversed() if sys.trace > 0.0 else sys
+    scale = build_orbit_region(work).scale
+    plan = reach_plan(sys, target, 1e-9 * scale)
+    with reference_crossing_search():
+        ref = reach_plan(sys, target, 1e-9 * scale)
+    assert len(plan.schedule) == len(ref.schedule)
+    got = [dt for _, dt in plan.schedule[-2:]]
+    want = [dt for _, dt in ref.schedule[-2:]]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * work.half_period)
+    return plan
+
+
+@given(systems(), st.floats(0.05, 0.9), st.integers(0, 2**16))
+def test_reach_plan_matches_the_reference_search(sys, depth, vertex):
+    work = sys.time_reversed() if sys.trace > 0.0 else sys
+    poly = build_orbit_region(work).boundary[:-1]
+    centroid = poly.mean(axis=0)
+    _assert_matches_reference(sys, centroid + depth * (poly[vertex % len(poly)] - centroid))
+
+
+@pytest.mark.parametrize("ratio", [-0.03, -0.01])
+def test_reach_plan_matches_the_reference_search_at_slow_contraction(ratio):
+    sys = _slow_system(ratio, skewed=True)
+    region = build_orbit_region(sys)
+    rng = np.random.default_rng(149)
+    for _ in range(6):
+        _assert_matches_reference(sys, _interior_point(rng, region))
+
+
+def test_reach_plan_crossing_turns_within_one_bound_sized_step():
+    # Near the boundary the backward flow meets the half turn twice within
+    # one step longer than the shortest: g turns between the step's ends, on
+    # the same side of the level.  Without the split at the turn the search
+    # finds no crossing.
+    sys = _slow_system(-0.3, skewed=True)
+    region = build_orbit_region(sys)
+    target = np.array([-1.5277635360721393, -0.31429024859885146])
+    assert region.margin(target) == pytest.approx(1e-4 * region.scale, rel=1e-6)
+    plan = _assert_matches_reference(sys, target)
+    assert plan.endpoint_error <= 1e-14 * region.scale
+
+
+@pytest.mark.parametrize("ratio", [-1.0, -0.3, -0.03])
+@pytest.mark.parametrize("edge", ["scan point", "t = 0", "t = half"])
+def test_crossing_search_edges_match_the_reference(edge, ratio):
+    # reach_plan's crossing, the flow about -1 run backwards against the half
+    # turn about +1 from y_base, with the flow through the half turn's start
+    # (t = 0) or end (t = half) at s = 0.37 half, or through its start at
+    # s = 0, a scan point where g is exactly 0.
+    sys = _slow_system(ratio, skewed=True)
+    lam, half = sys.canonical.lam, sys.half_period
+    y_base = 0.2 - 0.5j
+    point, s_at = {
+        "scan point": (y_base, 0.0),
+        "t = 0": (y_base, 0.37 * half),
+        "t = half": (1.0 + cmath.exp(lam * half) * (y_base - 1.0), 0.37 * half),
+    }[edge]
+    x_base = -1.0 + cmath.exp(lam * s_at) * (point + 1.0)
+    args = (sys, -1.0, x_base, -1.0, 3.0 * half, 1.0, y_base)
+    got = _crossing_search(*args, zeta=1.0, t_max=half)
+    ref = scan_bisect_crossing_search(*args, zeta=1.0, t_max=half)
+    assert abs(got[0] - s_at) <= 1e-14 * half
+    assert abs(got[1] - (half if edge == "t = half" else 0.0)) <= 1e-15 * half
+    assert got[2] <= 1e-14
+    assert abs(got[0] - ref[0]) <= 1e-12 * half and abs(got[1] - ref[1]) <= 1e-12 * half
+    if edge == "scan point":
+        assert got[:2] == (0.0, 0.0)
 
 
 def test_spiral_crossing_examples(s0):

@@ -14,6 +14,7 @@ from planarcontrol.controlset import half_turn_fixed_points
 from planarcontrol.system import LinearControlSystem, equilibrium, flow
 
 from conftest import scaled_expm, systems
+from lemmas import from_unit
 
 EPS = np.finfo(float).eps
 
@@ -61,7 +62,7 @@ def test_flow_is_affine_spiral_in_unit_frame(sys, w, frac, halves):
     s = halves * sys.half_period
     lam_s = sys.canonical.lam * s
     want = c + np.exp(lam_s) * (w - c)
-    got = unit.to_unit(flow(sys, s, unit.from_unit(w), u))
+    got = unit.to_unit(flow(sys, s, from_unit(unit, w), u))
     # Rounding of the start grows with the flow, and the phase error with |lam s|.
     cond = np.linalg.cond(sys.canonical.basis)
     size = (_offset(sys) + abs(w)) * max(1.0, abs(np.exp(lam_s)))
@@ -75,7 +76,7 @@ def test_flow_is_affine_spiral_in_unit_frame(sys, w, frac, halves):
 )
 def test_from_unit_inverts_to_unit(sys, direction, decade):
     v = 10.0**decade * np.array(direction)
-    back = sys.unit.from_unit(sys.unit.to_unit(v))
+    back = from_unit(sys.unit, sys.unit.to_unit(v))
     mid = np.linalg.norm(0.5 * (sys.u_min + sys.u_max) * sys.inv_a_eta)
     cond = np.linalg.cond(sys.canonical.basis)
     assert np.linalg.norm(back - v) <= 4.0 * EPS * cond * (np.linalg.norm(v) + mid)
@@ -108,7 +109,7 @@ def test_pair_iterate_and_corners_replay_half_turns(sys, n):
     cond = np.linalg.cond(sys.canonical.basis)
     norm_a = np.abs(sys.a).sum()
     ref = cond * (np.linalg.norm(v_min) + np.linalg.norm(v_max))
-    got = sys.unit.from_unit(sys.unit.pair_iterate(n))
+    got = from_unit(sys.unit, sys.unit.pair_iterate(n))
     bound = 48.0 * EPS * (ref + cond * np.linalg.norm(v)) * (1.0 + 2 * n * norm_a * half)
     assert np.linalg.norm(got - v) <= bound
 
