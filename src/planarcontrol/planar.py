@@ -70,7 +70,8 @@ def as_vector(v) -> np.ndarray:
     w = np.asarray(v, dtype=float)
     if w.shape != (2,):
         raise ValueError(f"expected a 2-vector, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    x, y = w.tolist()
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("vector entries must be finite")
     return w
 
@@ -238,7 +239,9 @@ def spiral_arc(lam: complex, s, w, nw) -> np.ndarray:
     array of times, or one time per state all work; with a scalar ``s``,
     ``w = I`` and ``nw = N`` it is the matrix ``exp(sA)``, and with a
     canonical point as a complex number ``z`` and ``nw = 1j * z`` it is that
-    point's image as a complex number.  The time-reversed system
+    point's image as a complex number.  Likewise a 2-vector w and N w read
+    as complex numbers x + iy give the image as x + iy (``system.flow``'s
+    single-state path).  The time-reversed system
     (``-lam.real``, ``-nw``) at ``-s`` gives bitwise the same result.
     """
     z = lam * s

@@ -69,12 +69,13 @@ class PlanResult:
 
 
 def _certified(sys, start, goal, schedule, time_reversed=False) -> PlanResult:
+    # Every caller passes validated float (2,) arrays for start and goal.
     _, _, states = segment_endpoints(sys, start, schedule)
     endpoint = states[-1]
     return PlanResult(
         schedule=tuple(schedule),
-        start=as_vector(start),
-        goal=as_vector(goal),
+        start=start,
+        goal=goal,
         endpoint=endpoint,
         endpoint_error=float(np.linalg.norm(endpoint - goal)),
         hops=len(schedule),

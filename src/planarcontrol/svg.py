@@ -36,10 +36,10 @@ def render_svg(polylines, markers=()) -> str:
     scale = size / max(xmax - xmin, ymax - ymin)
 
     def screen(points):
-        """Points (n, 2) in SVG coordinates, as Python floats, row by row."""
+        """Points (n, 2) in SVG coordinates."""
         x = (points[:, 0] - xmin) * scale
         y = (ymax - points[:, 1]) * scale  # flip: SVG y axis points down
-        return np.column_stack([x, y]).tolist()
+        return np.column_stack([x, y])
 
     w = (xmax - xmin) * scale
     h = (ymax - ymin) * scale
@@ -51,17 +51,16 @@ def render_svg(polylines, markers=()) -> str:
     stroke_w = _fmt(size / 320.0)
     for i, poly in enumerate(polys):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{x:.6g},{y:.6g}" for x, y in screen(poly))
+        # One % operation per polyline; "%.6g" % x is f"{x:.6g}" for floats.
+        pts = " ".join(["%.6g,%.6g"] * len(poly)) % tuple(screen(poly).ravel().tolist())
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{stroke_w}"/>'
         )
     radius = _fmt(size / 160.0)
     centres = screen(np.asarray(markers, dtype=float).reshape(-1, 2))
-    for j, (cx, cy) in enumerate(centres):
+    for j, (cx, cy) in enumerate(centres.tolist()):
         color = _COLORS[(len(polys) + j) % len(_COLORS)]
-        lines.append(
-            f'<circle cx="{cx:.6g}" cy="{cy:.6g}" r="{radius}" fill="{color}"/>'
-        )
+        lines.append('<circle cx="%.6g" cy="%.6g" r="%s" fill="%s"/>' % (cx, cy, radius, color))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

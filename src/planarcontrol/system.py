@@ -47,7 +47,9 @@ class LinearControlSystem:
     a subnormal det A, or extreme equilibria that round to one point.
     Canonical data, A^-1 eta and the unit frame (the canonical complex frame
     with v(u_min) at -1 and v(u_max) at +1) are computed once and cached;
-    instances are immutable and safe to share across threads.
+    ``time_reversed`` derives the reversed system's fields from these by
+    sign changes instead of computing them again.  Instances are immutable
+    and safe to share across threads.
     Equality and hashing are by identity (the fields are arrays), so a
     system can key a dict or a cache.
     """
@@ -114,9 +116,34 @@ class LinearControlSystem:
 
         Reversing time negates the whole right-hand side, so the reversed
         system is (-A, -eta) with the same control range and the same
-        equilibria.
+        equilibria.  Its cached fields follow from this system's by a sign,
+        exactly as ``canonicalize`` and ``__post_init__`` would compute them
+        for (-A, -eta): eig_real and the generator N change sign, the basis
+        loses the sign of its second column, A^-1 eta is unchanged and the
+        unit frame is conjugated with k negated.  Negation keeps every
+        quantity the validation tests, so none of it runs again.
         """
-        return LinearControlSystem(-self.a, -self.eta, self.u_min, self.u_max)
+        cf, unit = self.canonical, self.unit
+        a, eta, gen = -self.a, -self.eta, -cf.generator
+        for arr in (a, eta, gen):
+            arr.setflags(write=False)
+        rev = object.__new__(LinearControlSystem)
+        vars(rev).update(
+            a=a,
+            eta=eta,
+            u_min=self.u_min,
+            u_max=self.u_max,
+            canonical=CanonicalForm(-cf.eig_real, cf.eig_imag, cf.basis * (1.0, -1.0), gen),
+            inv_a_eta=self.inv_a_eta,
+            unit=UnitFrame(
+                unit.alpha.conjugate(),
+                unit.beta.conjugate(),
+                unit.gamma.conjugate(),
+                -unit.k,
+                unit.length,
+            ),
+        )
+        return rev
 
     def control_in_range(self, u: float) -> bool:
         """Whether u is in [u_min, u_max], padded by 1e-9 max(|u_min|, |u_max|)."""
@@ -152,16 +179,34 @@ def flow(sys: LinearControlSystem, s, v, u) -> np.ndarray:
     (shape (..., 2)) and controls broadcast: one state under an array of
     times gives the arc through it, and arrays of all three flow each state
     for its own time under its own control.
+
+    One (2,) state with a scalar time and control (Python or numpy numbers,
+    taken as floats) is computed in Python floats: ``w = v - center`` and
+    ``N w`` are read as complex numbers, so ``spiral_arc`` takes one
+    ``cmath.exp``.  It agrees with the same state flowed inside a batch to a
+    few ulps of |center| + e^{s eig_real}|w|(1 + sum |N|).  A state that is
+    not finite raises ValueError on both paths.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape[-1:] != (2,) or not np.isfinite(v).all():
-        raise ValueError(f"expected finite states of shape (..., 2), got {v.shape}")
-    if np.ndim(u):
-        u = np.asarray(u, dtype=float)[..., None]
-    center = -u * sys.inv_a_eta
     cf = sys.canonical
-    w = v - center
-    return center + spiral_arc(cf.lam, s, w, w @ cf.generator.T)
+    scalar = (int, float, np.number)
+    if v.shape == (2,) and isinstance(s, scalar) and isinstance(u, scalar):
+        x, y = v.tolist()
+        if math.isfinite(x) and math.isfinite(y):
+            u = float(u)
+            (ix, iy), ((n00, n01), (n10, n11)) = sys.inv_a_eta.tolist(), cf.generator.tolist()
+            cx, cy = -u * ix, -u * iy
+            wx, wy = x - cx, y - cy
+            nw = complex(n00 * wx + n01 * wy, n10 * wx + n11 * wy)
+            z = spiral_arc(cf.lam, float(s), complex(wx, wy), nw)
+            return np.array((cx + z.real, cy + z.imag))
+    elif v.shape[-1:] == (2,) and np.isfinite(v).all():
+        if np.ndim(u):
+            u = np.asarray(u, dtype=float)[..., None]
+        center = -u * sys.inv_a_eta
+        w = v - center
+        return center + spiral_arc(cf.lam, s, w, w @ cf.generator.T)
+    raise ValueError(f"expected finite states of shape (..., 2), got {v.shape}")
 
 
 def flow_many(sys: LinearControlSystem, s, v, u: float) -> np.ndarray:
@@ -196,14 +241,16 @@ def segment_endpoints(
     """Validated ``(u, dt)`` segments, endpoint times and exact endpoint states.
 
     Each segment endpoint is ``flow(dt, previous endpoint, u)``; a
-    zero-duration segment contributes no endpoint.
+    zero-duration segment contributes no endpoint.  Durations must be finite
+    and nonnegative, and every endpoint must be a finite state.
 
     Raises
     ------
     InvalidControl
         If some segment control is outside the admissible range.
     ValueError
-        If some segment duration is negative.
+        If some segment duration is negative, infinite or NaN (checked before
+        any flow), or if a segment's endpoint leaves the floating-point range.
     """
     v = as_vector(v0)
     segs = tuple((float(u), float(dt)) for u, dt in schedule)
@@ -212,17 +259,23 @@ def segment_endpoints(
             raise InvalidControl(
                 f"control {u} outside range [{sys.u_min}, {sys.u_max}]"
             )
-        if dt < 0.0:
-            raise ValueError("segment durations must be nonnegative")
+        if not 0.0 <= dt < math.inf:
+            raise ValueError(f"segment durations must be finite and nonnegative, got {dt}")
     times = [0.0]
     states = [v]
-    for u, dt in segs:
+    for i, (u, dt) in enumerate(segs):
         if dt == 0.0:
             continue
-        v = flow(sys, dt, v, u)
+        try:
+            v = flow(sys, dt, v, u)
+            finite = math.isfinite(v[0]) and math.isfinite(v[1])
+        except (OverflowError, ValueError):  # cmath.exp out of range
+            finite = False
+        if not finite:
+            raise ValueError(f"segment {i} ({u}, {dt}) ends outside the floating-point range")
         times.append(times[-1] + dt)
         states.append(v)
-    return segs, np.array(times), np.vstack(states)
+    return segs, np.array(times), np.array(states)
 
 
 def simulate(sys: LinearControlSystem, v0, schedule) -> Trajectory:
@@ -237,7 +290,8 @@ def simulate(sys: LinearControlSystem, v0, schedule) -> Trajectory:
     InvalidControl
         If some segment control is outside the admissible range.
     ValueError
-        If some segment duration is negative.
+        As :func:`segment_endpoints`: a negative, infinite or NaN duration,
+        or an endpoint outside the floating-point range.
     """
     segs, times, states = segment_endpoints(sys, v0, schedule)
     sample_step = sys.half_period / 256.0

@@ -1,5 +1,7 @@
 """SVG rendering: byte-identical to the per-point formatter it replaced."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,37 @@ def test_render_svg_matches_per_point_reference():
 def test_render_svg_needs_a_polyline():
     with pytest.raises(ValueError):
         render_svg([])
+
+
+def _awkward_values():
+    """Signed zeros, infinities, NaN, subnormals, the largest and smallest
+    normals, values at the 6-digit rounding edge, and random floats over
+    every decade."""
+    special = [
+        0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+        -2.225073858507201e-308, 1.7976931348623157e308, 999999.5, 9999995.0, 0.00012345650,
+        1e-5, 123456.5, -1e16, 640.0, 0.1,
+    ]
+    rng = np.random.default_rng(5)
+    decades = rng.uniform(-320.0, 308.0, 400)
+    randoms = (rng.choice([-1.0, 1.0], 400) * 10.0**decades).tolist()
+    return special + randoms
+
+
+def test_one_format_call_matches_the_per_point_format():
+    vals = _awkward_values()
+    pairs = list(zip(vals, vals[1:] + vals[:1]))
+    flat = tuple(x for pair in pairs for x in pair)
+    joined = " ".join(["%.6g,%.6g"] * len(pairs)) % flat
+    assert joined == " ".join(f"{x:.6g},{y:.6g}" for x, y in pairs)
+
+
+def test_render_svg_formats_awkward_coordinates_like_the_reference():
+    # The first polyline fixes a finite viewport; the overlay and the markers
+    # carry the awkward values through the screen transform (finite ones
+    # below 1e300, so the transform itself does not overflow).
+    vals = [x for x in _awkward_values() if not abs(x) > 1e300 or math.isinf(x)]
+    overlay = np.array(list(zip(vals, vals[::-1])))
+    box = [[-1.0, -2.0], [3.0, 0.5], [0.0, 4.0]]
+    markers = [overlay[i] for i in range(0, 18, 2)]
+    assert render_svg([box, overlay], markers) == _render_svg_per_point([box, overlay], markers)

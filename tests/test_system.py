@@ -1,13 +1,19 @@
 """Equilibria, exact flows (spirals about the equilibria), the broadcasting
 flow kernel, and piecewise-constant simulation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import planarcontrol.planar
+import planarcontrol.system
+from planarcontrol.controlset import TRACE_ZERO_BAND
 from planarcontrol.errors import DegenerateSpiral, InvalidControl
-from planarcontrol.geometry import SpiralRegion
+from planarcontrol.geometry import SpiralRegion, build_orbit_region
 from planarcontrol.planar import canonicalize
 from planarcontrol.system import (
     ControlRangeWarning,
@@ -20,7 +26,9 @@ from planarcontrol.system import (
 )
 from planarcontrol.controlset import half_turn_fixed_points
 
-from conftest import converged_fixed_points, random_system, series_expm
+from conftest import converged_fixed_points, random_system, scaled_expm, series_expm, systems
+
+EPS = np.finfo(float).eps
 
 
 def test_system_validation():
@@ -194,10 +202,16 @@ def test_flow_kernel_broadcasts_like_scalar_calls():
 
 
 def test_flow_rejects_bad_states(s0):
-    with pytest.raises(ValueError):
-        flow(s0, 1.0, [1.0, 2.0, 3.0], 0.0)
-    with pytest.raises(ValueError):
-        flow(s0, 1.0, [math.nan, 0.0], 0.0)
+    # One state takes the single-state path, a batch the array path.
+    for bad in (
+        [1.0, 2.0, 3.0],
+        [math.nan, 0.0],
+        [0.0, math.inf],
+        np.array([-math.inf, 1.0]),
+        [[0.0, 0.0], [math.nan, 1.0]],
+    ):
+        with pytest.raises(ValueError, match="finite states"):
+            flow(s0, 1.0, bad, 0.0)
 
 
 def test_simulate_empty_schedule(s0):
@@ -287,3 +301,173 @@ def test_time_reversed_system_shares_equilibria(s0):
         rev = sys.time_reversed()
         np.testing.assert_array_equal(flow(rev, t, pts, u), flow(sys, -t, pts, u))
         np.testing.assert_array_equal(rev.propagator(t[0]), sys.propagator(-t[0]))
+
+
+def _assert_same_fields(got, want):
+    # Every field, and every field of a cached dataclass, compares with ==
+    # (so zeros may differ only in sign); arrays keep their read-only flags.
+    for f in dataclasses.fields(want):
+        x, y = getattr(got, f.name), getattr(want, f.name)
+        if dataclasses.is_dataclass(y):
+            _assert_same_fields(x, y)
+            continue
+        assert type(x) is type(y), f.name
+        assert np.array_equal(x, y), f.name
+        if isinstance(y, np.ndarray):
+            assert x.flags.writeable == y.flags.writeable, f.name
+
+
+@st.composite
+def _reversal_systems(draw):
+    """Drifts of either spin on sheared and stretched bases, at scales over
+    sixty decades, with |k| up to 3, at the edge of the zero-trace band
+    (|tr A| from half to twice TRACE_ZERO_BAND ||A||_F) or at exactly zero
+    trace; eta and the control range over 1e-12 to 1e12."""
+    ei = 10.0 ** draw(st.floats(-30.0, 30.0))
+    spin = draw(st.sampled_from([-1.0, 1.0]))
+    trace = draw(st.sampled_from(["free", "band edge", "zero"]))
+    k = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.0, 3.0)) if trace == "free" else 0.0
+    drift = np.array([[k * ei, -spin * ei], [spin * ei, k * ei]])
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    c, s = math.cos(theta), math.sin(theta)
+    shear = draw(st.floats(-3.0, 3.0))
+    stretch = 10.0 ** draw(st.floats(-1.0, 1.0))
+    basis = np.array([[1.0, shear], [0.0, stretch]]) @ np.array([[c, -s], [s, c]])
+    a = basis @ drift @ np.linalg.inv(basis)
+    if trace != "free":
+        # Set the trace of the (rounded) zero-trace drift exactly.
+        edge = TRACE_ZERO_BAND * math.hypot(*a.ravel().tolist())
+        t = 0.0
+        if trace == "band edge":
+            t = draw(st.sampled_from([-1.0, 1.0])) * edge * draw(st.floats(0.5, 2.0))
+        a[1, 1] = t - a[0, 0]
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    eta = 10.0 ** draw(st.floats(-12.0, 12.0)) * np.array([math.cos(phi), math.sin(phi)])
+    width = 10.0 ** draw(st.floats(-12.0, 12.0))
+    centre = width * draw(st.floats(-5.0, 5.0))
+    return LinearControlSystem(a, eta, centre - 0.5 * width, centre + 0.5 * width)
+
+
+@given(_reversal_systems())
+def test_time_reversed_fields_equal_a_validated_reversed_system(sys):
+    rev = sys.time_reversed()
+    _assert_same_fields(rev, LinearControlSystem(-sys.a, -sys.eta, sys.u_min, sys.u_max))
+    _assert_same_fields(rev.time_reversed(), sys)
+
+
+def test_time_reversed_does_not_canonicalize(s0, monkeypatch):
+    def forbidden(a):
+        raise AssertionError("time_reversed called canonicalize")
+
+    monkeypatch.setattr(planarcontrol.planar, "canonicalize", forbidden)
+    monkeypatch.setattr(planarcontrol.system, "canonicalize", forbidden)
+    rev = s0.time_reversed()
+    assert rev.trace == -s0.trace
+    # A positive-trace region works on the reversed system.
+    region = build_orbit_region(rev)
+    assert region.time_reversed and region.work_system.trace == s0.trace
+
+
+def _single_flow_scale(sys, s, v, u):
+    # |center| + e^{as}|w|(1 + sum |N|): the size of the terms of one flow.
+    center = -u * sys.inv_a_eta
+    grow = math.exp(sys.canonical.eig_real * s)
+    return float(
+        np.abs(center).max()
+        + grow * np.abs(v - center).max() * (1.0 + np.abs(sys.canonical.generator).sum())
+    )
+
+
+@given(
+    systems(),
+    st.floats(-3.0, 3.0),
+    st.floats(0.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+)
+def test_single_state_flow_matches_batch_and_series(sys, halves, frac, x, y):
+    # Worst of 3,000 examples: 1.0 ulp of the scale from the batch (93% bit
+    # for bit) and 12.7 units of the series bound below.
+    s = halves * sys.half_period
+    u = sys.u_min + frac * (sys.u_max - sys.u_min)
+    center = -u * sys.inv_a_eta
+    v = center + np.abs(center).max() * np.array([x, y]) + sys.inv_a_eta * (sys.u_max - sys.u_min)
+    one = flow(sys, s, v, u)
+    assert one.shape == (2,)
+    ulp = math.ulp(_single_flow_scale(sys, s, v, u))
+    batch = flow(sys, np.array([s, -s, 0.5 * s]), np.stack([v, v + 1.0, v]), np.array([u, u, u]))
+    assert np.abs(one - batch[0]).max() <= 4.0 * ulp
+    # A 0-d time or control takes the batch path and agrees the same way.
+    assert np.abs(one - flow(sys, np.array(s), v, np.array(u))).max() <= 4.0 * ulp
+    # The power series, scaled and squared, replays the same arc.
+    m = scaled_expm(sys.a, s) if s >= 0.0 else scaled_expm(-sys.a, -s)
+    want = center + m @ (v - center)
+    cond = np.linalg.cond(sys.canonical.basis)
+    size = _single_flow_scale(sys, s, v, u)
+    bound = 32.0 * EPS * cond * size * (1.0 + abs(sys.canonical.lam * s))
+    assert np.abs(one - want).max() <= bound
+
+
+def test_single_state_flow_takes_numpy_scalars(s0):
+    v = np.array([0.3, -0.2])
+    want = flow(s0, 1.25, v, 0.5)
+    for s, u in (
+        (np.float64(1.25), np.float64(0.5)),
+        (np.float32(1.25), np.float32(0.5)),
+        (np.float64(1.25), np.int64(0)),
+        (1.25, 0),
+        (np.int64(2), 0.5),
+    ):
+        got = flow(s0, s, v, u)
+        assert got.shape == (2,) and got.dtype == np.float64
+        np.testing.assert_array_equal(got, flow(s0, float(s), v, float(u)))
+    np.testing.assert_array_equal(flow(s0, np.float64(1.25), v, 0.5), want)
+    np.testing.assert_array_equal(flow(s0, 1.25, list(v), 0.5), want)
+
+
+@given(systems(), st.floats(-4.0, 4.0), st.floats(0.0, 1.0))
+def test_single_state_flow_fixes_the_equilibrium(sys, halves, frac):
+    u = sys.u_min + frac * (sys.u_max - sys.u_min)
+    eq = equilibrium(sys, u)
+    np.testing.assert_array_equal(flow(sys, halves * sys.half_period, eq, u), eq)
+
+
+# A slow spiral and its positive-trace mirror (the same system in reverse time).
+_SLOW = LinearControlSystem([[-0.1, -1.0], [1.0, -0.1]], [1.0, 0.0], -1.0, 1.0)
+
+
+@pytest.mark.parametrize("run", [segment_endpoints, simulate])
+@pytest.mark.parametrize("sys", [_SLOW, _SLOW.time_reversed()], ids=["negative", "positive"])
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_non_finite_durations_are_rejected_before_any_flow(run, sys, dt, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("flow ran before the schedule was checked")
+
+    monkeypatch.setattr(planarcontrol.system, "flow", forbidden)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        run(sys, [0.3, 0.2], [(0.5, 1.0), (-0.5, dt)])
+
+
+@pytest.mark.parametrize("run", [segment_endpoints, simulate])
+@pytest.mark.parametrize(
+    "sys, v0, dt",
+    [
+        # e^{0.1 dt} overflows inside the exponential.
+        (_SLOW.time_reversed(), [0.3, 0.2], 1e308),
+        # e^{0.1 dt} is finite, its product with |v0 - center| is not.
+        (_SLOW.time_reversed(), [1e5, 0.0], 7040.0),
+        # A contracting turn still carries a coordinate past the largest float.
+        (_SLOW, [1.7e308, 1.7e308], 1.0),
+    ],
+    ids=["positive-exp", "positive-product", "negative-turn"],
+)
+def test_endpoint_outside_float_range_names_its_segment(run, sys, v0, dt):
+    with pytest.raises(ValueError, match=r"segment 2 \(-0\.5, .*floating-point range"):
+        run(sys, v0, [(0.5, 0.0), (0.5, 0.0), (-0.5, dt)])
+
+
+def test_long_contracting_segment_ends_on_the_equilibrium():
+    # e^{lam dt} underflows to 0: the endpoint is the equilibrium, at a finite time.
+    _, times, states = segment_endpoints(_SLOW, [0.3, 0.2], [(0.5, 1e308)])
+    np.testing.assert_array_equal(times, [0.0, 1e308])
+    np.testing.assert_array_equal(states[-1], equilibrium(_SLOW, 0.5))
