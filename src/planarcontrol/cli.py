@@ -1,17 +1,24 @@
 """Command-line frontend: parse a system config, run analyses, emit artifacts.
 
-Subcommands: analyze, orbit, member, plan, reach, sweep.  The config, a
-single JSON document, is the only input of a run: the command line adds just
-the output directory (``--out``) and an optional SVG path (``--svg``), and no
-environment variable is read.  Outputs are JSON/CSV files written atomically
-plus the optional SVG, and float serialization uses the shortest round-trip
-decimal so reruns are byte-identical.
+Subcommands: analyze, orbit, member, plan, reach, sweep, one entry each in
+``_COMMANDS`` (help text and function).  The config, a single JSON document,
+is the only input of a run: the command line adds just the output directory
+(``--out``) and an optional SVG path (``--svg``), and no environment variable
+is read.  Outputs are JSON/CSV files written atomically plus the optional
+SVG, and float serialization uses the shortest round-trip decimal so reruns
+are byte-identical.
+
+A command reads only what it needs.  The region is built once for a nonzero
+trace; the orbit at ``samples`` points per arc is sampled on first read: by
+analyze and orbit, and by every command for the SVG's boundary.  The report's
+``orbit_samples`` is the length of the polyline the run sampled, 0 if none.
 
 Exit codes: 0 success; 2 config or system validation failure; 3 planner
 failure; 4 I/O failure.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controlset import (
+    BoundaryOrbit,
     Classification,
     classify,
     periodic_orbit,
@@ -40,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import build_orbit_region, line_order_coordinates
-from .oracle import GridSpec, ReachSet, default_grid_spec, default_grid_steps, grid_reachable_set
+from .oracle import ReachSet, default_grid_spec, grid_reachable_set
 from .planner import hop_plan, reach_plan
 from .svg import render_svg
 from .system import LinearControlSystem, equilibrium, flow, simulate
@@ -68,7 +76,7 @@ class SystemConfig:
     samples: int = 256
     epsilon: float = 1e-4
     seed: int = 0
-    # None: a share of the system's own sizes (oracle.default_grid_steps).
+    # None: a share of the system's own sizes (oracle.default_grid_spec).
     dx: float | None = None
     dt: float | None = None
     horizon: float | None = None
@@ -315,210 +323,199 @@ def _analysis_checks(region, poly: np.ndarray, seed: int) -> list[dict]:
     ]
 
 
+class _Run:
+    """One run: the system, its region (built once, None at zero trace) and
+    the orbit at ``samples`` points per arc, sampled on first read; reading
+    ``boundary`` records its length as ``orbit_samples``.  Commands add to
+    ``report``, ``outputs`` (name, path, text) and the SVG's ``layers`` and
+    ``markers``."""
+
+    def __init__(self, command: str, cfg: SystemConfig, args):
+        self.cfg, self.args = cfg, args
+        self.sys = build_system(cfg)
+        kind = classify(self.sys)
+        zero = kind is Classification.CONTROLLABLE_TRACE_ZERO
+        self.region = None if zero else build_orbit_region(self.sys)
+        self.report: dict = {
+            "command": command,
+            "classification": kind.value,
+            "p_plus": None if self.region is None else self.region.p_plus,
+            "p_minus": None if self.region is None else self.region.p_minus,
+            "orbit_samples": 0,
+            "checks": [],
+            "files": [],
+        }
+        self.outputs: list[tuple[str, str, str]] = []
+        self.layers: list[np.ndarray] = []
+        self.markers: list[np.ndarray] = []
+
+    @functools.cached_property
+    def orbit(self) -> BoundaryOrbit:
+        return periodic_orbit(self.region.work_system, self.cfg.samples)
+
+    @functools.cached_property
+    def boundary(self) -> np.ndarray:
+        boundary = self.orbit.polyline()
+        self.report["orbit_samples"] = len(boundary)
+        return boundary
+
+    def emit(self, name: str, text: str) -> None:
+        self.outputs.append((name, os.path.join(self.args.out, name), text))
+
+
+def _analyze(ctx: _Run) -> None:
+    if ctx.region is not None:
+        ctx.report["checks"] = _analysis_checks(ctx.region, ctx.boundary, ctx.cfg.seed)
+    ctx.emit("analyze.json", _json_text({**ctx.report, "files": ["analyze.json"]}))
+
+
+def _orbit(ctx: _Run) -> None:
+    if ctx.region is None:
+        raise TraceZero("orbit subcommand needs a nonzero trace")
+    sys_ = ctx.sys
+    # A negative-trace system is its own work system.
+    orbit = periodic_orbit(sys_, ctx.cfg.samples) if ctx.region.time_reversed else ctx.orbit
+    half, n = orbit.half_period, len(orbit.arc_minus) - 1
+    rows = [(_fmt(half * i / n), _fmt(x), _fmt(y), _fmt(sys_.u_min))
+            for i, (x, y) in enumerate(orbit.arc_minus.tolist())]
+    rows += [(_fmt(half + half * i / n), _fmt(x), _fmt(y), _fmt(sys_.u_max))
+             for i, (x, y) in enumerate(orbit.arc_plus[1:].tolist(), start=1)]
+    ctx.report["orbit_samples"] = len(rows)
+    ctx.emit("orbit.csv", _csv_text("t,x,y,u", rows))
+
+
+def _member(ctx: _Run) -> None:
+    point = ctx.cfg.point
+    if point is None:
+        raise ValidationError("member subcommand needs a 'point' in the config")
+    if ctx.region is None:
+        verdict = {"verdict": "interior", "margin": None}
+    else:
+        v = ctx.region.contains(point)
+        verdict = {"verdict": v.verdict.value, "margin": v.margin}
+    ctx.report["member"] = verdict
+    ctx.emit("member.json", _json_text({"point": point, **verdict}))
+    ctx.markers.append(np.asarray(point, dtype=float))
+
+
+def _plan(ctx: _Run) -> None:
+    sys_, cfg = ctx.sys, ctx.cfg
+    if ctx.region is None:
+        if cfg.start is None:
+            raise ValidationError("plan subcommand needs a 'start' in the config")
+        u0 = cfg.u0 if cfg.u0 is not None else 0.5 * (sys_.u_min + sys_.u_max)
+        plan = hop_plan(sys_, cfg.start, u0)
+    else:
+        if cfg.target is None:
+            raise ValidationError("plan subcommand needs a 'target' in the config")
+        plan = reach_plan(sys_, cfg.target, cfg.epsilon)
+    rows = [(str(i), _fmt(u), _fmt(dt)) for i, (u, dt) in enumerate(plan.schedule)]
+    ctx.emit("plan.csv", _csv_text("index,u,dt", rows))
+    ctx.report["plan"] = {
+        "start": plan.start,
+        "goal": plan.goal,
+        "endpoint": plan.endpoint,
+        "endpoint_error": plan.endpoint_error,
+        "hops": plan.hops,
+        "time_reversed": plan.time_reversed,
+    }
+    ctx.emit("plan.json", _json_text(ctx.report["plan"]))
+    if ctx.args.svg is not None:  # the dense trajectory is drawn, never written
+        sim_sys = ctx.region.work_system if plan.time_reversed else sys_
+        try:
+            traj = simulate(sim_sys, plan.start, plan.schedule)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
+        ctx.layers.append(traj.dense_states)
+    ctx.markers.extend([plan.start, plan.goal])
+
+
+def _reach(ctx: _Run) -> None:
+    sys_, cfg = ctx.sys, ctx.cfg
+    start = cfg.start
+    if start is None:
+        start = equilibrium(sys_, 0.5 * (sys_.u_min + sys_.u_max))
+    try:
+        spec = default_grid_spec(sys_, start, dx=cfg.dx, dt=cfg.dt, horizon=cfg.horizon)
+        if cfg.bounds is not None:
+            spec = dataclasses.replace(spec, bounds=cfg.bounds)
+        reach = grid_reachable_set(sys_, start, spec)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+    pts = reach.occupied_points()
+    ctx.emit("reach.csv", _csv_text("x,y", _cell_rows(reach)))
+    ctx.report["reach"] = {
+        "occupied": reach.occupied_count(),
+        "spill": reach.spill_count,
+        "steps": reach.steps_run,
+        "bounds": list(spec.bounds),
+    }
+    ctx.emit("reach.json", _json_text(ctx.report["reach"]))
+    if ctx.region is None:  # otherwise the boundary is the base layer
+        ctx.layers.append(pts)
+    ctx.markers.extend(pts[:: max(1, len(pts) // 400)])
+
+
+def _sweep(ctx: _Run) -> None:
+    cfg = ctx.cfg
+    if cfg.sweep_nu is None or not cfg.sweep_grid:
+        raise ValidationError("sweep subcommand needs 'sweep.nu' and 'sweep.grid'")
+    try:
+        points = sweep_control_ranges(
+            ctx.sys.a, ctx.sys.eta, cfg.sweep_nu, cfg.sweep_grid, samples_per_arc=cfg.samples
+        )
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+    rows = [
+        [_fmt(x) for x in (p.alpha, p.rho, *p.p_plus, *p.p_minus, p.hausdorff_prev)]
+        for p in points
+    ]
+    header = "alpha,rho,p_plus_x,p_plus_y,p_minus_x,p_minus_y,hausdorff_prev"
+    ctx.emit("sweep.csv", _csv_text(header, rows))
+    ctx.report["sweep"] = {
+        "points": len(points),
+        "p_plus_coordinates": [p.p_plus_coordinate for p in points],
+    }
+    for p in points[-3:]:
+        ctx.layers.append(p.boundary)
+
+
+# Each subcommand: its help text and the function that runs it.
+_COMMANDS = {
+    "analyze": ("classification, fixed points, orbit and region checks", _analyze),
+    "orbit": ("CSV polyline of the periodic boundary orbit", _orbit),
+    "member": ("membership verdict for a configured point", _member),
+    "plan": ("trajectory plan (hop plan or reach plan by trace sign)", _plan),
+    "reach": ("brute-force reachable-set occupancy CSV", _reach),
+    "sweep": ("control-range sweep of the orbit family", _sweep),
+}
+
+
 def run(command: str, cfg: SystemConfig, args) -> dict:
     """Execute one subcommand; returns the run report (also written to disk).
 
+    With ``--svg`` the region's boundary and its four points (p+, p-,
+    v(u_min), v(u_max)) are drawn under the command's layers and markers.
     The artifacts are written only after the command, and the SVG if one is
     asked for, succeeded, so a failing run leaves no files.
     """
-    sys_ = build_system(cfg)
-    samples, epsilon = cfg.samples, cfg.epsilon
-    dx, dt, horizon = cfg.dx, cfg.dt, cfg.horizon
-    kind = classify(sys_)
-    report: dict = {
-        "command": command,
-        "classification": kind.value,
-        "p_plus": None,
-        "p_minus": None,
-        "orbit_samples": 0,
-        "checks": [],
-        "files": [],
-    }
-    outputs: list[tuple[str, str, str]] = []  # (name, path, text)
-
-    def emit(name: str, text: str) -> None:
-        outputs.append((name, os.path.join(args.out, name), text))
-
-    svg_layers: list[np.ndarray] = []
-    svg_markers: list[np.ndarray] = []
-
-    region = None
-    if kind is not Classification.CONTROLLABLE_TRACE_ZERO:
-        region = build_orbit_region(sys_)
-        report["p_plus"] = region.p_plus
-        report["p_minus"] = region.p_minus
-        orbit = periodic_orbit(region.work_system, samples)
-        boundary = orbit.polyline()
-        report["orbit_samples"] = len(boundary)
-        svg_layers.append(boundary)
-        svg_markers.extend(
-            [
-                region.p_plus,
-                region.p_minus,
-                equilibrium(sys_, sys_.u_min),
-                equilibrium(sys_, sys_.u_max),
-            ]
-        )
-
-    if command == "analyze":
-        if region is not None:
-            report["checks"] = _analysis_checks(region, boundary, cfg.seed)
-        emit("analyze.json", _json_text({**report, "files": ["analyze.json"]}))
-
-    elif command == "orbit":
-        if region is None:
-            raise TraceZero("orbit subcommand needs a nonzero trace")
-        if region.time_reversed:  # a negative-trace sys_ is its own work system
-            orbit = periodic_orbit(sys_, samples)
-        rows = []
-        half = orbit.half_period
-        n = len(orbit.arc_minus) - 1
-        for i, pt in enumerate(orbit.arc_minus):
-            rows.append(
-                (_fmt(half * i / n), _fmt(pt[0]), _fmt(pt[1]), _fmt(sys_.u_min))
-            )
-        for i, pt in enumerate(orbit.arc_plus[1:], start=1):
-            rows.append(
-                (_fmt(half + half * i / n), _fmt(pt[0]), _fmt(pt[1]), _fmt(sys_.u_max))
-            )
-        emit("orbit.csv", _csv_text("t,x,y,u", rows))
-
-    elif command == "member":
-        if cfg.point is None:
-            raise ValidationError("member subcommand needs a 'point' in the config")
-        if region is None:
-            verdict = {"verdict": "interior", "margin": None}
-        else:
-            v = region.contains(cfg.point)
-            verdict = {"verdict": v.verdict.value, "margin": v.margin}
-        report["member"] = verdict
-        emit("member.json", _json_text({"point": cfg.point, **verdict}))
-        svg_markers.append(np.asarray(cfg.point, dtype=float))
-
-    elif command == "plan":
-        if kind is Classification.CONTROLLABLE_TRACE_ZERO:
-            if cfg.start is None:
-                raise ValidationError("plan subcommand needs a 'start' in the config")
-            u0 = cfg.u0 if cfg.u0 is not None else 0.5 * (sys_.u_min + sys_.u_max)
-            plan = hop_plan(sys_, cfg.start, u0)
-        else:
-            if cfg.target is None:
-                raise ValidationError("plan subcommand needs a 'target' in the config")
-            plan = reach_plan(sys_, cfg.target, epsilon)
-        rows = [
-            (str(i), _fmt(u), _fmt(dtt))
-            for i, (u, dtt) in enumerate(plan.schedule)
-        ]
-        emit("plan.csv", _csv_text("index,u,dt", rows))
-        report["plan"] = {
-            "start": plan.start,
-            "goal": plan.goal,
-            "endpoint": plan.endpoint,
-            "endpoint_error": plan.endpoint_error,
-            "hops": plan.hops,
-            "time_reversed": plan.time_reversed,
-        }
-        emit("plan.json", _json_text(report["plan"]))
-        if args.svg is not None:  # the dense trajectory is drawn, never written
-            sim_sys = region.work_system if plan.time_reversed else sys_
-            traj = simulate(sim_sys, plan.start, plan.schedule)
-            svg_layers.append(traj.dense_states)
-        svg_markers.extend([plan.start, plan.goal])
-
-    elif command == "reach":
-        start = cfg.start
-        if start is None:
-            start = equilibrium(sys_, 0.5 * (sys_.u_min + sys_.u_max))
-        start = np.asarray(start, dtype=float)
-        try:
-            # Steps not in the config follow the orbit's extent or, at zero
-            # trace, the spacing of the extreme equilibria.
-            if region is not None:
-                base = default_grid_spec(sys_, dx=dx, dt=dt, horizon=horizon)
-                bounds = list(base.bounds)
-                dx, dt, horizon = base.dx, base.dt, base.horizon
-            else:
-                e_min, e_max = equilibrium(sys_, sys_.u_min), equilibrium(sys_, sys_.u_max)
-                spacing = float(np.linalg.norm(e_max - e_min))
-                dx, dt, horizon = default_grid_steps(sys_, spacing, dx, dt, horizon)
-                anchors = np.vstack([e_min, e_max, start])
-                c = anchors.mean(axis=0)
-                hs = max(float(np.abs(anchors - c).max()) * 3.0, 10.0 * dx)
-                bounds = [c[0] - hs, c[0] + hs, c[1] - hs, c[1] + hs]
-            if cfg.bounds is not None:
-                bounds = list(cfg.bounds)
-            else:
-                # Grow the default box if the start sits outside it.
-                pad = 2.0 * dx
-                bounds[0] = min(bounds[0], start[0] - pad)
-                bounds[1] = max(bounds[1], start[0] + pad)
-                bounds[2] = min(bounds[2], start[1] - pad)
-                bounds[3] = max(bounds[3], start[1] + pad)
-            spec = GridSpec(bounds=tuple(bounds), dx=dx, dt=dt, horizon=horizon)
-            reach = grid_reachable_set(sys_, start, spec)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        pts = reach.occupied_points()
-        emit("reach.csv", _csv_text("x,y", _cell_rows(reach)))
-        report["reach"] = {
-            "occupied": reach.occupied_count(),
-            "spill": reach.spill_count,
-            "steps": reach.steps_run,
-            "bounds": list(spec.bounds),
-        }
-        emit("reach.json", _json_text(report["reach"]))
-        if not svg_layers:
-            svg_layers.append(pts)
-        svg_markers.extend(pts[:: max(1, len(pts) // 400)])
-
-    elif command == "sweep":
-        if cfg.sweep_nu is None or not cfg.sweep_grid:
-            raise ValidationError("sweep subcommand needs 'sweep.nu' and 'sweep.grid'")
-        try:
-            points = sweep_control_ranges(
-                sys_.a, sys_.eta, cfg.sweep_nu, cfg.sweep_grid, samples_per_arc=samples
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        rows = [
-            (
-                _fmt(p.alpha),
-                _fmt(p.rho),
-                _fmt(p.p_plus[0]),
-                _fmt(p.p_plus[1]),
-                _fmt(p.p_minus[0]),
-                _fmt(p.p_minus[1]),
-                _fmt(p.hausdorff_prev),
-            )
-            for p in points
-        ]
-        emit(
-            "sweep.csv",
-            _csv_text(
-                "alpha,rho,p_plus_x,p_plus_y,p_minus_x,p_minus_y,hausdorff_prev",
-                rows,
-            ),
-        )
-        report["sweep"] = {
-            "points": len(points),
-            "p_plus_coordinates": [p.p_plus_coordinate for p in points],
-        }
-        for p in points[-3:]:
-            svg_layers.append(p.boundary)
-
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown command {command}")
-
+    ctx = _Run(command, cfg, args)
+    _COMMANDS[command][1](ctx)
     if args.svg is not None:
-        if not svg_layers:
+        region, sys_ = ctx.region, ctx.sys
+        if region is not None:
+            ctx.layers.insert(0, ctx.boundary)
+            ctx.markers[:0] = [region.p_plus, region.p_minus,
+                                 equilibrium(sys_, sys_.u_min), equilibrium(sys_, sys_.u_max)]
+        if not ctx.layers:
             raise ValidationError("nothing to render for this command")
-        outputs.append((args.svg, args.svg, render_svg(svg_layers, svg_markers)))
+        ctx.outputs.append((args.svg, args.svg, render_svg(ctx.layers, ctx.markers)))
 
     os.makedirs(args.out, exist_ok=True)
-    for _, path, text in outputs:
+    for _, path, text in ctx.outputs:
         _write_text(path, text)
-    report["files"] = [name for name, _, _ in outputs]
-    return report
+    ctx.report["files"] = [name for name, _, _ in ctx.outputs]
+    return ctx.report
 
 
 @functools.cache
@@ -533,14 +530,7 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in (
-        ("analyze", "classification, fixed points, orbit and region checks"),
-        ("orbit", "CSV polyline of the periodic boundary orbit"),
-        ("member", "membership verdict for a configured point"),
-        ("plan", "trajectory plan (hop plan or reach plan by trace sign)"),
-        ("reach", "brute-force reachable-set occupancy CSV"),
-        ("sweep", "control-range sweep of the orbit family"),
-    ):
+    for name, (help_, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("config", help="path to the JSON config document")
         p.add_argument("--out", default=".", help="output directory")

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySet
-from .system import LinearControlSystem
-from .controlset import periodic_orbit
+from .controlset import is_trace_zero, periodic_orbit
+from .system import LinearControlSystem, equilibrium
 
 __all__ = [
     "GridSpec",
     "ReachSet",
     "default_grid_spec",
-    "default_grid_steps",
     "grid_reachable_set",
     "hausdorff",
 ]
@@ -80,39 +79,44 @@ class GridSpec:
         return np.stack([x, y], axis=1)
 
 
-def default_grid_steps(
-    sys: LinearControlSystem,
-    length: float,
-    dx: float | None = None,
-    dt: float | None = None,
-    horizon: float | None = None,
-) -> tuple[float, float, float]:
-    """(dx, dt, horizon), each given or else a share of the system's own
-    sizes: dx is 1/64 of ``length``, dt 1/64 of a half period and the horizon
-    10 half periods.  So a default grid has the same shape in any unit of
-    length or time."""
-    half = sys.half_period
-    return (
-        length / 64.0 if dx is None else dx,
-        half / 64.0 if dt is None else dt,
-        10.0 * half if horizon is None else horizon,
-    )
-
-
 def default_grid_spec(
     sys: LinearControlSystem,
+    start,
     dx: float | None = None,
     dt: float | None = None,
     horizon: float | None = None,
 ) -> GridSpec:
-    """Grid bounds from the periodic orbit's bounding box, inflated 3 times
-    about its center; the steps default (:func:`default_grid_steps`) to
-    shares of the box's longer side and of the half period."""
-    xmin, xmax, ymin, ymax = periodic_orbit(sys).bounding_box()
-    cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-    hx, hy = 1.5 * (xmax - xmin), 1.5 * (ymax - ymin)
-    dx, dt, horizon = default_grid_steps(sys, max(xmax - xmin, ymax - ymin), dx, dt, horizon)
-    return GridSpec(bounds=(cx - hx, cx + hx, cy - hy, cy + hy), dx=dx, dt=dt, horizon=horizon)
+    """The default grid for a sweep of ``sys`` from ``start``, at any trace.
+
+    The box is the periodic orbit's bounding box inflated 3 times about its
+    center or, at zero trace, the square about the mean of the extreme
+    equilibria and ``start`` with half side 3 times their largest offset
+    from it (at least 10 dx); it grows to hold ``start`` 2 dx inside.  Steps
+    not given are shares of the system's own sizes, so a default grid has
+    the same shape in any unit: dx is 1/64 of the box's longer side (at zero
+    trace, of the equilibria's spacing), dt 1/64 of a half period and the
+    horizon 10 half periods.
+    """
+    start = np.asarray(start, dtype=float)
+    half = sys.half_period
+    dt = half / 64.0 if dt is None else dt
+    horizon = 10.0 * half if horizon is None else horizon
+    if is_trace_zero(sys):
+        e_min, e_max = equilibrium(sys, sys.u_min), equilibrium(sys, sys.u_max)
+        dx = float(np.linalg.norm(e_max - e_min)) / 64.0 if dx is None else dx
+        anchors = np.vstack([e_min, e_max, start])
+        c = anchors.mean(axis=0)
+        hx = hy = max(float(np.abs(anchors - c).max()) * 3.0, 10.0 * dx)
+        cx, cy = c
+    else:
+        xmin, xmax, ymin, ymax = periodic_orbit(sys).bounding_box()
+        dx = max(xmax - xmin, ymax - ymin) / 64.0 if dx is None else dx
+        cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+        hx, hy = 1.5 * (xmax - xmin), 1.5 * (ymax - ymin)
+    pad = 2.0 * dx
+    bounds = (min(cx - hx, start[0] - pad), max(cx + hx, start[0] + pad),
+              min(cy - hy, start[1] - pad), max(cy + hy, start[1] + pad))
+    return GridSpec(bounds=bounds, dx=dx, dt=dt, horizon=horizon)
 
 
 @dataclass(frozen=True)

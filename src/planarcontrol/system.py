@@ -31,6 +31,8 @@ __all__ = [
 
 # Smallest normal float: a subnormal det A has lost the digits of A^-1 eta.
 _TINY = float(np.finfo(float).tiny)
+# Most dense samples one simulate call records: 2^20 states, 16 MB.
+_MAX_DENSE_POINTS = 1 << 20
 
 
 class ControlRangeWarning(UserWarning):
@@ -201,6 +203,8 @@ def flow(sys: LinearControlSystem, s, v, u) -> np.ndarray:
             z = spiral_arc(cf.lam, float(s), complex(wx, wy), nw)
             return np.array((cx + z.real, cy + z.imag))
     elif v.shape[-1:] == (2,) and np.isfinite(v).all():
+        if not isinstance(s, (int, float)):  # float32 times would exponentiate in complex64
+            s = np.asarray(s, dtype=float)
         if np.ndim(u):
             u = np.asarray(u, dtype=float)[..., None]
         center = -u * sys.inv_a_eta
@@ -291,16 +295,21 @@ def simulate(sys: LinearControlSystem, v0, schedule) -> Trajectory:
         If some segment control is outside the admissible range.
     ValueError
         As :func:`segment_endpoints`: a negative, infinite or NaN duration,
-        or an endpoint outside the floating-point range.
+        or an endpoint outside the floating-point range.  Also if the dense
+        samples would number more than 2^20, checked before any is taken.
     """
     segs, times, states = segment_endpoints(sys, v0, schedule)
     sample_step = sys.half_period / 256.0
     dense_times = [times[:1]]
     dense_states = [states[:1]]
     arcs = [(u, dt) for u, dt in segs if dt != 0.0]
-    for i, (u, dt) in enumerate(arcs):
-        n = max(2, int(math.ceil(dt / sample_step)) + 1)
-        local = np.linspace(0.0, dt, n)[1:-1]
+    # Points per arc, counted in floats: a long arc's count may be infinite.
+    counts = [max(2.0, float(np.ceil(dt / sample_step)) + 1.0) for _, dt in arcs]
+    total = 1.0 + sum(counts) - len(counts)
+    if total > _MAX_DENSE_POINTS:
+        raise ValueError(f"dense sampling needs {total:.17g} points, more than {_MAX_DENSE_POINTS}")
+    for i, ((u, dt), n) in enumerate(zip(arcs, counts)):
+        local = np.linspace(0.0, dt, int(n))[1:-1]
         dense_times += [times[i] + local, times[i + 1 : i + 2]]
         dense_states += [flow(sys, local, states[i], u), states[i + 1 : i + 2]]
     return Trajectory(

@@ -1,16 +1,17 @@
 """Command-line contract: exit codes for malformed configs, no partial
 artifacts on failure, byte-identical reruns, and the artifact schemas."""
 
+import argparse
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from planarcontrol.cli import _analysis_checks, main
+from planarcontrol.cli import _COMMANDS, _analysis_checks, _parser, main
 from planarcontrol.controlset import periodic_orbit
 from planarcontrol.geometry import build_orbit_region
-from planarcontrol.oracle import grid_reachable_set
+from planarcontrol.oracle import default_grid_spec, grid_reachable_set
 from planarcontrol.system import LinearControlSystem
 
 BASE = {
@@ -467,3 +468,103 @@ def test_repeated_calls_in_one_process_are_identical(tmp_path, capsys):
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert bool(files) == (want == 0), (command, tag)
         assert seen.setdefault(i, (stdout, files)) == (stdout, files), (command, tag)
+
+
+# SMALL run backward in time: (-A, -eta) has the same region, bounded by an
+# open control set.
+SMALL_POS = {**SMALL, "a": [[1.0, 1.0], [-1.0, 1.0]], "eta": [-1.0, 0.0]}
+SMALL_ZERO = {**SMALL, "a": ZERO_TRACE["a"], "start": [0.3, -0.2]}
+
+
+def _artifacts(tmp_path, name, command, doc, svg, capsys):
+    """Exit code, report and artifact bytes of one run in its own directory."""
+    sub = tmp_path / name
+    sub.mkdir()
+    extra = ("--svg", str(sub / "out" / "plot.svg")) if svg else ()
+    code, out = _run(sub, command, doc, *extra)
+    stdout = capsys.readouterr().out
+    report = json.loads(stdout) if code == 0 else None
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    return code, report, files
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    # The sweep family needs a negative trace.
+    [(c, SMALL) for c in _COMMANDS] + [(c, SMALL_POS) for c in _COMMANDS if c != "sweep"],
+    ids=[f"{c}-negative" for c in _COMMANDS] + [f"{c}-positive" for c in _COMMANDS if c != "sweep"],
+)
+def test_orbit_is_sampled_only_when_read(tmp_path, monkeypatch, capsys, command, doc):
+    # analyze reads the boundary and orbit writes it; the other commands
+    # sample it only to draw it under --svg.  Artifacts never depend on --svg.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return periodic_orbit(*args, **kwargs)
+
+    monkeypatch.setattr("planarcontrol.cli.periodic_orbit", counted)
+    runs = {}
+    for svg in (False, True):
+        calls.clear()
+        code, report, files = _artifacts(tmp_path, str(svg), command, doc, svg, capsys)
+        assert code == 0
+        reads = svg or command in ("analyze", "orbit")
+        assert bool(calls) == reads
+        assert report["orbit_samples"] == (2 * SMALL["samples"] + 1 if reads else 0)
+        runs[svg] = files
+    assert runs[True].pop("plot.svg")
+    assert runs[False] == runs[True]
+
+
+# Exit codes at zero trace without and with --svg: analyze and member have
+# nothing to draw, orbit has no orbit and sweep no family there.
+_ZERO_TRACE_CODES = {
+    "analyze": (0, 2), "orbit": (2, 2), "member": (0, 2),
+    "plan": (0, 0), "reach": (0, 0), "sweep": (2, 2),
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_zero_trace_never_samples_the_orbit(tmp_path, monkeypatch, capsys, command):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("periodic_orbit called at zero trace")
+
+    monkeypatch.setattr("planarcontrol.cli.periodic_orbit", forbidden)
+    runs = [_artifacts(tmp_path, str(svg), command, SMALL_ZERO, svg, capsys) for svg in (False, True)]
+    assert tuple(code for code, _, _ in runs) == _ZERO_TRACE_CODES[command]
+    assert all(report["orbit_samples"] == 0 for code, report, _ in runs if code == 0)
+    if runs[1][0] == 0:
+        assert runs[1][2].pop("plot.svg")
+        assert runs[0][2] == runs[1][2]
+
+
+def test_parser_offers_exactly_the_command_table():
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_COMMANDS)
+
+
+def test_plan_too_long_to_draw_exits_2_without_artifacts(tmp_path, capsys):
+    # 5,000 hops from (0, 1e4) would draw about 1.28 million dense points.
+    doc = {**ZERO_TRACE, "start": [0.0, 1e4]}
+    svg = tmp_path / "plan.svg"
+    code, out = _run(tmp_path, "plan", doc, "--svg", str(svg))
+    assert code == 2
+    assert "dense sampling needs" in capsys.readouterr().err
+    assert not out.exists() and not svg.exists()
+    code, out = _run(tmp_path, "plan", doc)
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["plan.csv", "plan.json"]
+
+
+@pytest.mark.parametrize("bounds", [None, [-1.3, 0.9, -0.7, 1.1]], ids=["default", "given"])
+@pytest.mark.parametrize("doc", [SMALL, SMALL_POS, SMALL_ZERO], ids=["negative", "positive", "zero"])
+def test_reach_bounds_are_the_default_grid_spec(tmp_path, capsys, doc, bounds):
+    grid = {**doc["grid"], **({} if bounds is None else {"bounds": bounds})}
+    code, out = _run(tmp_path, "reach", {**doc, "grid": grid})
+    assert code == 0
+    sys = LinearControlSystem(doc["a"], doc["eta"], *doc["omega"])
+    start = doc.get("start", [0.0, 0.0])  # the equilibrium of the midpoint control
+    spec = default_grid_spec(sys, start, dx=grid["dx"], dt=grid["dt"], horizon=grid["horizon"])
+    want = list(spec.bounds) if bounds is None else bounds
+    assert json.loads((out / "reach.json").read_text())["bounds"] == want

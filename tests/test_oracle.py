@@ -39,7 +39,7 @@ def test_singleton_control_at_equilibrium_occupies_only_source(s0):
 
 
 def test_forward_reach_stays_in_dilated_region(s0):
-    spec = default_grid_spec(s0, dx=0.04, dt=0.1, horizon=12.0)
+    spec = default_grid_spec(s0, [0.0, 0.0], dx=0.04, dt=0.1, horizon=12.0)
     reach = grid_reachable_set(s0, [0.0, 0.0], spec)
     region = build_orbit_region(s0)
     pts = reach.occupied_points()
@@ -219,7 +219,7 @@ def test_one_pass_step_matches_lexsort_reference():
 
 
 def test_grid_refinement_keeps_cells_within_one_dilation(s0):
-    coarse_spec = default_grid_spec(s0, dx=0.08, dt=0.1, horizon=8.0)
+    coarse_spec = default_grid_spec(s0, [0.0, 0.0], dx=0.08, dt=0.1, horizon=8.0)
     fine_spec = GridSpec(
         bounds=coarse_spec.bounds, dx=0.04, dt=0.05, horizon=8.0
     )
@@ -235,7 +235,7 @@ def test_grid_refinement_keeps_cells_within_one_dilation(s0):
 
 
 def test_occupancy_independent_of_control_order(s0):
-    spec = default_grid_spec(s0, dx=0.05, dt=0.1, horizon=6.0)
+    spec = default_grid_spec(s0, [0.0, 0.0], dx=0.05, dt=0.1, horizon=6.0)
     a = grid_reachable_set(
         s0,
         [0.0, 0.0],
@@ -250,11 +250,42 @@ def test_occupancy_independent_of_control_order(s0):
 
 
 def test_occupancy_monotone_in_horizon(s0):
-    spec_short = default_grid_spec(s0, dx=0.05, dt=0.1, horizon=3.0)
+    spec_short = default_grid_spec(s0, [0.0, 0.0], dx=0.05, dt=0.1, horizon=3.0)
     spec_long = GridSpec(spec_short.bounds, 0.05, 0.1, 6.0)
     short = grid_reachable_set(s0, [0.0, 0.0], spec_short)
     long_ = grid_reachable_set(s0, [0.0, 0.0], spec_long)
     assert np.all(long_.occupancy[short.occupancy])
+
+
+def test_zero_trace_default_grid_is_the_square_about_equilibria_and_start():
+    sys = LinearControlSystem([[0.0, -2.0], [0.5, 0.0]], [0.3, -0.7], -0.4, 1.1)
+    start = np.array([0.9, -0.2])
+    e_min, e_max = equilibrium(sys, sys.u_min), equilibrium(sys, sys.u_max)
+    dx = float(np.linalg.norm(e_max - e_min)) / 64.0
+    anchors = np.vstack([e_min, e_max, start])
+    c = anchors.mean(axis=0)
+    hs = max(float(np.abs(anchors - c).max()) * 3.0, 10.0 * dx)
+    spec = default_grid_spec(sys, start)
+    assert spec.bounds == (c[0] - hs, c[0] + hs, c[1] - hs, c[1] + hs)
+    assert (spec.dx, spec.dt, spec.horizon) == (dx, sys.half_period / 64.0, 10.0 * sys.half_period)
+    # A start next to the equilibria leaves 10 dx around their mean.
+    near = default_grid_spec(sys, 0.5 * (e_min + e_max), dx=0.5)
+    assert near.bounds[1] - near.bounds[0] >= 10.0
+
+
+@pytest.mark.parametrize(
+    "a", [[[-1.0, -1.0], [1.0, -1.0]], [[0.0, -1.0], [1.0, 0.0]]], ids=["negative", "zero"]
+)
+def test_default_grid_grows_to_hold_a_far_start(a):
+    sys = LinearControlSystem(a, [1.0, 0.0], -1.0, 1.0)
+    inside = default_grid_spec(sys, [0.0, 0.0], dx=0.05)
+    xmin, xmax, ymin, ymax = inside.bounds
+    assert xmin < -0.1 and xmax > 0.1 and ymin < -0.1 and ymax > 0.1
+    far = default_grid_spec(sys, [xmax + 3.0, ymin - 4.0], dx=0.05)
+    if sys.trace:  # the orbit's box grows on the start's sides only
+        assert far.bounds == (xmin, (xmax + 3.0) + 0.1, (ymin - 4.0) - 0.1, ymax)
+    for lo, hi, x in ((far.bounds[0], far.bounds[1], xmax + 3.0), (far.bounds[2], far.bounds[3], ymin - 4.0)):
+        assert lo + 0.1 <= x <= hi - 0.1
 
 
 def test_grid_spec_validation(s0):

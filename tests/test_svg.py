@@ -69,8 +69,8 @@ def _layers():
     target = 0.6 * region.p_plus + 0.4 * region.p_minus
     plan = reach_plan(sys, target, 1e-9)
     traj = simulate(sys, plan.start, plan.schedule).dense_states
-    spec = default_grid_spec(sys, dx=0.15, dt=0.2, horizon=4.0)
     start = equilibrium(sys, 0.5 * (sys.u_min + sys.u_max))
+    spec = default_grid_spec(sys, start, dx=0.15, dt=0.2, horizon=4.0)
     cells = grid_reachable_set(sys, start, spec).occupied_points()
     markers = [region.p_plus, region.p_minus, equilibrium(sys, sys.u_min), target]
     return periodic_orbit(sys, 64).polyline(), traj, cells, markers

@@ -471,3 +471,34 @@ def test_long_contracting_segment_ends_on_the_equilibrium():
     _, times, states = segment_endpoints(_SLOW, [0.3, 0.2], [(0.5, 1e308)])
     np.testing.assert_array_equal(times, [0.0, 1e308])
     np.testing.assert_array_equal(states[-1], equilibrium(_SLOW, 0.5))
+
+
+@pytest.mark.parametrize("sys", [_SLOW, _SLOW.time_reversed()], ids=["negative", "positive"])
+def test_unbounded_dense_sampling_is_refused(sys):
+    # Negative trace: the endpoint is the equilibrium, but 1e308 / (pi / 256)
+    # dense points overflow; positive trace: the endpoint itself overflows.
+    with pytest.raises(ValueError):
+        simulate(sys, [0.3, 0.2], [(0.5, 1e308)])
+
+
+def test_dense_sampling_cap_is_exact():
+    cap = planarcontrol.system._MAX_DENSE_POINTS
+    step = _SLOW.half_period / 256.0
+    # One arc of ceil(dt / step) + 1 points: cap - 1 steps fill the cap exactly.
+    traj = simulate(_SLOW, [0.3, 0.2], [(0.5, (cap - 1.5) * step)])
+    assert len(traj.dense_times) == len(traj.dense_states) == cap
+    with pytest.raises(ValueError, match=f"{cap + 1} points"):
+        simulate(_SLOW, [0.3, 0.2], [(0.5, (cap - 0.5) * step)])
+    # The count covers all arcs together.
+    half = (cap // 2) * step
+    with pytest.raises(ValueError, match="more than"):
+        simulate(_SLOW, [0.3, 0.2], [(0.5, half), (-0.5, half)])
+
+
+def test_float32_times_flow_as_float64(s0):
+    times = np.array([1.25, 2.5])
+    want = flow(s0, times, (0.3, 0.2), 0.5)
+    assert np.array_equal(flow(s0, times.astype(np.float32), (0.3, 0.2), 0.5), want)
+    states = np.array([[0.3, 0.2], [-0.4, 0.1]])
+    want = flow(s0, 1.25, states, 0.5)
+    assert np.array_equal(flow(s0, np.float32(1.25), states, 0.5), want)
