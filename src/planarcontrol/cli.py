@@ -18,7 +18,6 @@ failure; 4 I/O failure.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -325,25 +324,23 @@ def _analysis_checks(region, poly: np.ndarray, seed: int) -> list[dict]:
 
 class _Run:
     """One run: the system, its region (built once, None at zero trace) and
-    the orbit at ``samples`` points per arc, sampled on first read; reading
-    ``boundary`` records its length as ``orbit_samples``.  Commands add to
-    ``report``, ``outputs`` (name, path, text) and the SVG's ``layers`` and
-    ``markers``."""
+    the work system's orbit at ``samples`` points per arc, sampled on first
+    read.  Commands add to ``report``, ``outputs`` (name, path, text) and
+    the SVG's ``layers`` and ``markers``."""
 
     def __init__(self, command: str, cfg: SystemConfig, args):
         self.cfg, self.args = cfg, args
         self.sys = build_system(cfg)
         kind = classify(self.sys)
         zero = kind is Classification.CONTROLLABLE_TRACE_ZERO
-        self.region = None if zero else build_orbit_region(self.sys)
+        self.region = region = None if zero else build_orbit_region(self.sys)
         self.report: dict = {
             "command": command,
             "classification": kind.value,
-            "p_plus": None if self.region is None else self.region.p_plus,
-            "p_minus": None if self.region is None else self.region.p_minus,
+            "p_plus": getattr(region, "p_plus", None),
+            "p_minus": getattr(region, "p_minus", None),
             "orbit_samples": 0,
             "checks": [],
-            "files": [],
         }
         self.outputs: list[tuple[str, str, str]] = []
         self.layers: list[np.ndarray] = []
@@ -351,13 +348,14 @@ class _Run:
 
     @functools.cached_property
     def orbit(self) -> BoundaryOrbit:
-        return periodic_orbit(self.region.work_system, self.cfg.samples)
+        return self.sample(self.region.work_system)
 
-    @functools.cached_property
-    def boundary(self) -> np.ndarray:
-        boundary = self.orbit.polyline()
-        self.report["orbit_samples"] = len(boundary)
-        return boundary
+    def sample(self, system: LinearControlSystem) -> BoundaryOrbit:
+        """``system``'s orbit at ``samples``; the run's only sampling, and
+        the only writer of ``orbit_samples``."""
+        orbit = periodic_orbit(system, self.cfg.samples)
+        self.report["orbit_samples"] = len(orbit.polyline())
+        return orbit
 
     def emit(self, name: str, text: str) -> None:
         self.outputs.append((name, os.path.join(self.args.out, name), text))
@@ -365,7 +363,7 @@ class _Run:
 
 def _analyze(ctx: _Run) -> None:
     if ctx.region is not None:
-        ctx.report["checks"] = _analysis_checks(ctx.region, ctx.boundary, ctx.cfg.seed)
+        ctx.report["checks"] = _analysis_checks(ctx.region, ctx.orbit.polyline(), ctx.cfg.seed)
     ctx.emit("analyze.json", _json_text({**ctx.report, "files": ["analyze.json"]}))
 
 
@@ -374,13 +372,12 @@ def _orbit(ctx: _Run) -> None:
         raise TraceZero("orbit subcommand needs a nonzero trace")
     sys_ = ctx.sys
     # A negative-trace system is its own work system.
-    orbit = periodic_orbit(sys_, ctx.cfg.samples) if ctx.region.time_reversed else ctx.orbit
+    orbit = ctx.sample(sys_) if ctx.region.time_reversed else ctx.orbit
     half, n = orbit.half_period, len(orbit.arc_minus) - 1
     rows = [(_fmt(half * i / n), _fmt(x), _fmt(y), _fmt(sys_.u_min))
             for i, (x, y) in enumerate(orbit.arc_minus.tolist())]
     rows += [(_fmt(half + half * i / n), _fmt(x), _fmt(y), _fmt(sys_.u_max))
              for i, (x, y) in enumerate(orbit.arc_plus[1:].tolist(), start=1)]
-    ctx.report["orbit_samples"] = len(rows)
     ctx.emit("orbit.csv", _csv_text("t,x,y,u", rows))
 
 
@@ -436,9 +433,7 @@ def _reach(ctx: _Run) -> None:
     if start is None:
         start = equilibrium(sys_, 0.5 * (sys_.u_min + sys_.u_max))
     try:
-        spec = default_grid_spec(sys_, start, dx=cfg.dx, dt=cfg.dt, horizon=cfg.horizon)
-        if cfg.bounds is not None:
-            spec = dataclasses.replace(spec, bounds=cfg.bounds)
+        spec = default_grid_spec(sys_, start, cfg.dx, cfg.dt, cfg.horizon, cfg.bounds)
         reach = grid_reachable_set(sys_, start, spec)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
@@ -504,9 +499,9 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
     if args.svg is not None:
         region, sys_ = ctx.region, ctx.sys
         if region is not None:
-            ctx.layers.insert(0, ctx.boundary)
+            ctx.layers.insert(0, ctx.orbit.polyline())
             ctx.markers[:0] = [region.p_plus, region.p_minus,
-                                 equilibrium(sys_, sys_.u_min), equilibrium(sys_, sys_.u_max)]
+                               equilibrium(sys_, sys_.u_min), equilibrium(sys_, sys_.u_max)]
         if not ctx.layers:
             raise ValidationError("nothing to render for this command")
         ctx.outputs.append((args.svg, args.svg, render_svg(ctx.layers, ctx.markers)))

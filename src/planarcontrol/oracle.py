@@ -85,17 +85,19 @@ def default_grid_spec(
     dx: float | None = None,
     dt: float | None = None,
     horizon: float | None = None,
+    bounds: tuple | None = None,
 ) -> GridSpec:
-    """The default grid for a sweep of ``sys`` from ``start``, at any trace.
+    """The grid for a sweep of ``sys`` from ``start``, at any trace.
 
-    The box is the periodic orbit's bounding box inflated 3 times about its
-    center or, at zero trace, the square about the mean of the extreme
-    equilibria and ``start`` with half side 3 times their largest offset
-    from it (at least 10 dx); it grows to hold ``start`` 2 dx inside.  Steps
-    not given are shares of the system's own sizes, so a default grid has
-    the same shape in any unit: dx is 1/64 of the box's longer side (at zero
-    trace, of the equilibria's spacing), dt 1/64 of a half period and the
-    horizon 10 half periods.
+    Without ``bounds`` the box is the periodic orbit's bounding box inflated
+    3 times about its center or, at zero trace, the square about the mean of
+    the extreme equilibria and ``start`` with half side 3 times their largest
+    offset from it (at least 10 dx); it grows to hold ``start`` 2 dx inside.
+    Given ``bounds`` are used as they are, and only they are checked against
+    the grid's cell limit.  Steps not given are shares of the system's own
+    sizes, so a default grid has the same shape in any unit: dx is 1/64 of
+    the box's longer side (at zero trace, of the equilibria's spacing), dt
+    1/64 of a half period and the horizon 10 half periods.
     """
     start = np.asarray(start, dtype=float)
     half = sys.half_period
@@ -113,10 +115,11 @@ def default_grid_spec(
         dx = max(xmax - xmin, ymax - ymin) / 64.0 if dx is None else dx
         cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
         hx, hy = 1.5 * (xmax - xmin), 1.5 * (ymax - ymin)
-    pad = 2.0 * dx
-    bounds = (min(cx - hx, start[0] - pad), max(cx + hx, start[0] + pad),
-              min(cy - hy, start[1] - pad), max(cy + hy, start[1] + pad))
-    return GridSpec(bounds=bounds, dx=dx, dt=dt, horizon=horizon)
+    if bounds is None:
+        pad = 2.0 * dx
+        bounds = (min(cx - hx, start[0] - pad), max(cx + hx, start[0] + pad),
+                  min(cy - hy, start[1] - pad), max(cy + hy, start[1] + pad))
+    return GridSpec(bounds=tuple(bounds), dx=dx, dt=dt, horizon=horizon)
 
 
 @dataclass(frozen=True)

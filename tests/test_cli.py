@@ -565,6 +565,23 @@ def test_reach_bounds_are_the_default_grid_spec(tmp_path, capsys, doc, bounds):
     assert code == 0
     sys = LinearControlSystem(doc["a"], doc["eta"], *doc["omega"])
     start = doc.get("start", [0.0, 0.0])  # the equilibrium of the midpoint control
-    spec = default_grid_spec(sys, start, dx=grid["dx"], dt=grid["dt"], horizon=grid["horizon"])
-    want = list(spec.bounds) if bounds is None else bounds
-    assert json.loads((out / "reach.json").read_text())["bounds"] == want
+    spec = default_grid_spec(sys, start, grid["dx"], grid["dt"], grid["horizon"], bounds)
+    assert json.loads((out / "reach.json").read_text())["bounds"] == list(spec.bounds)
+    if bounds is not None:
+        assert list(spec.bounds) == bounds
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [BASE, ZERO_TRACE, {**ZERO_TRACE, "start": [50.0, 50.0]}],
+    ids=["negative", "zero", "zero-far-start"],
+)
+def test_reach_checks_only_the_given_bounds(tmp_path, capsys, doc):
+    # A 1000 x 1000 grid in the given box; the default box at this dx would
+    # hold far more than the 2^24 cells a grid may have.
+    c = doc.get("start", [0.0, 0.0])
+    grid = {"dx": 2e-4, "dt": 0.1, "horizon": 0.3,
+            "bounds": [c[0] - 0.1, c[0] + 0.1, c[1] - 0.1, c[1] + 0.1]}
+    code, out = _run(tmp_path, "reach", {**doc, "grid": grid})
+    assert code == 0, capsys.readouterr().err
+    assert json.loads((out / "reach.json").read_text())["bounds"] == grid["bounds"]
