@@ -248,14 +248,32 @@ def _crossing_search(
     A step is searched only if its t, which moves by at most
     V/(c |zeta eig_real|) over it, can reach the window.
 
-    Each multiple of 2 pi that g passes in a piece is a root, solved by
-    Illinois regula falsi with each step kept within ITP's distance of the
-    bracket's midpoint (Oliveira and Takahashi, 2020), so a solve takes no
-    more steps than bisection, up to rounding.  It stops once the bracket is
-    no wider than the spacing of floats at its upper end, and returns the
-    end whose residual is smaller.  Returns (s, t, residual) of the first
-    root in scan order whose t lies in the window, or None; the residual is
-    in frame units.
+    Where t at a step's start lies outside the window, the step may skip
+    instead.  rho moves by at most the x-curve's travel, so t stays outside
+    over the longest step on which the x-curve travels at most
+    |rho_edge - rho(s_a)|, rho_edge = r0 e^{zeta eig_real t_edge} being the
+    radius of the window's nearer end t_edge.  Where that step is the
+    longer, it is taken unsearched and uncapped (to s_max if rho_edge
+    overflows).  It may end on another branch of phi: only the levels
+    inside a searched step depend on the branch.
+
+    Each multiple of 2 pi that g passes in a piece is a root.  Its solve
+    tries a Newton step from the bracket's end with the smaller residual,
+    with the dg/ds that level returns, and takes it only if it lands inside
+    the bracket, no longer than half the bracket nor than half the previous
+    Newton step.  Otherwise it takes an Illinois regula falsi step held
+    within ITP's distance of the bracket's midpoint (Oliveira and
+    Takahashi, 2020).  The held steps narrow the bracket as bisection
+    would, up to rounding, and Newton steps never widen it.  Newton steps
+    halve and none is below the spacing of floats, so there are no more of
+    them than bisection steps: a solve takes at most twice bisection's
+    evaluations.  (A Newton step need not narrow the bracket, so holding
+    Newton steps too would make them rare.)  The turn of g is solved by held
+    steps alone.  A solve stops once the Newton step or the bracket is below
+    the spacing of floats at the bracket's upper end, and returns the end
+    whose residual is smaller.  Returns (s, t, residual) of the first root
+    in scan order whose t lies in the window, or None; the residual is in
+    frame units.
     """
     cf = sys.canonical
     lam = cf.lam
@@ -288,21 +306,30 @@ def _crossing_search(
     def solve(a, b, col, target):
         # The end (s, level(s)) with the smaller |level(s)[col] - target| of
         # the sign-change bracket [a, b].  Bisection needs n steps to narrow
-        # it to tol; each step lands within r of the midpoint, which keeps
-        # the bracket within tol 2^n as n counts down.
+        # it to tol; each held step lands within r of the midpoint, which
+        # keeps the bracket within tol 2^n as n counts down.  Newton steps
+        # (on g only) never widen it, and each is at most half the last.
         (s_a, st_a), (s_b, st_b) = a, b
         f_a, f_b = st_a[col] - target, st_b[col] - target
         w_a, w_b, side = f_a, f_b, 0  # Illinois weights
         tol = math.ulp(s_b)
         n = math.ceil(math.log2((s_b - s_a) / tol)) if s_b - s_a > tol else 0
+        newton = math.inf if col == 2 else 0.0  # the longest Newton step allowed
         while f_a and f_b and s_b - s_a > tol:
             half_width = 0.5 * (s_b - s_a)
-            mid = s_a + half_width
-            r = math.ldexp(tol, n) - half_width
-            n -= 1
-            s = min(max((s_a * w_b - s_b * w_a) / (w_b - w_a), mid - r), mid + r)
-            if not s_a < s < s_b:
-                s = mid
+            s_e, f_e, df_e = (s_a, f_a, st_a[3]) if abs(f_a) <= abs(f_b) else (s_b, f_b, st_b[3])
+            step = f_e / df_e if newton and df_e else math.inf
+            if abs(step) < tol:
+                break
+            if abs(step) <= min(half_width, newton) and s_a < s_e - step < s_b:
+                s, newton = s_e - step, 0.5 * abs(step)
+            else:
+                mid = s_a + half_width
+                r = math.ldexp(tol, n) - half_width
+                n -= 1
+                s = min(max((s_a * w_b - s_b * w_a) / (w_b - w_a), mid - r), mid + r)
+                if not s_a < s < s_b:
+                    s = mid
             st = level(s, st_a[0])
             f = st[col] - target
             if (f < 0.0) == (f_a < 0.0):
@@ -325,25 +352,39 @@ def _crossing_search(
     travel = _STEP_G / (c + _STEP_G)  # L/rho(s_a) at which V = _STEP_G
     t_spread = 0.5 / (c * abs(rate))  # t's overshoot per unit of V
 
+    def longest(v, length):
+        # The longest step from a point where |x'| = v on which the x-curve
+        # travels, v (e^{mu h} - 1)/mu, at most length.
+        return math.log1p(mu * length / v) / mu if mu * length > -v else math.inf
+
+    def radius(t):
+        # rho at y-curve time t, or inf where that overflows.
+        try:
+            return r0 * math.exp(rate * t)
+        except OverflowError:
+            return math.inf
+
+    rho_lo, rho_hi = radius(t_lo), radius(t_hi)
     s_a, st_a = 0.0, level(0.0, 0.0)
     while True:
         phi_a, t_a, g_a, dg_a, rho_a = st_a
-        # The longest step on which the x-curve travels, v (e^{mu h} - 1)/mu,
-        # at most budget; v is |x'| at s_a.
-        budget = travel * rho_a
-        v = speed * math.exp(mu * s_a)
-        h = math.log1p(mu * budget / v) / mu if mu * budget > -v else math.inf
-        h = min(h, h_cap)
+        v = speed * math.exp(mu * s_a)  # |x'| at s_a
+        h = min(longest(v, travel * rho_a), h_cap)
         var = _STEP_G  # bounds g's total variation over the step
         if h < h_floor:
             h = h_floor
             moved = v * math.expm1(mu * h) / mu
             var = c * moved / (rho_a - moved) if moved < rho_a else math.inf
+        search = True
+        if not t_lo <= t_a <= t_hi:
+            h_skip = longest(v, abs((rho_lo if t_a < t_lo else rho_hi) - rho_a))
+            if h_skip > h:
+                h, search = h_skip, False
         s_b = min(s_a + h, s_max)
         st_b = level(s_b, phi_a)
         t_b, g_b, dg_b = st_b[1], st_b[2], st_b[3]
         t_mid, t_ext = 0.5 * (t_a + t_b), t_spread * var
-        if t_mid - t_ext <= t_hi and t_mid + t_ext >= t_lo:
+        if search and t_mid - t_ext <= t_hi and t_mid + t_ext >= t_lo:
             pieces = [(s_a, st_a), (s_b, st_b)]
             if dg_a * dg_b < 0.0:
                 # g turns inside the step; split it at the turn if a level
@@ -471,7 +512,7 @@ def reach_plan(
     TraceZero
         Inside the zero-trace band (from ``build_orbit_region``).
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if pairs is not None and pairs < 0:
         raise ValueError("pairs must be nonnegative")

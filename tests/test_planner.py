@@ -1,6 +1,7 @@
 """Hop planning (zero trace), reach planning, and spiral crossings."""
 
 import cmath
+import contextlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from planarcontrol import planner
 from planarcontrol.errors import (
     EpsilonTooSmall,
     InvalidControl,
@@ -22,7 +24,7 @@ from planarcontrol.planner import _crossing_search, hop_plan, loop_plan, reach_p
 from planarcontrol.system import LinearControlSystem, equilibrium, flow, flow_many, simulate
 
 from conftest import random_system, random_trace_zero_system, scaled_expm, systems
-from lemmas import reference_crossing_search, scan_bisect_crossing_search
+from lemmas import from_unit, reference_crossing_search, scan_bisect_crossing_search
 
 EPS = np.finfo(float).eps
 
@@ -240,6 +242,14 @@ def test_reach_plan_typed_errors(s0, t0):
         reach_plan(s0, [0.1, -0.2], 1e-300)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1e-3, math.nan])
+def test_reach_plan_rejects_an_epsilon_that_is_not_positive(epsilon):
+    # A NaN epsilon used to pass both the guard and the closing error check.
+    sys = LinearControlSystem([[-0.3, -1.0], [1.0, -0.3]], [1.0, 0.0], -1.0, 1.0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        reach_plan(sys, [0.1, 0.0], epsilon)
+
+
 def _pulled_targets(sys, region, depth, per_arc=39):
     """Orbit points, per_arc per arc, each pulled towards the midpoint of the
     corners until its margin is depth * scale."""
@@ -422,6 +432,190 @@ def test_crossing_search_edges_match_the_reference(edge, ratio):
     assert abs(got[0] - ref[0]) <= 1e-12 * half and abs(got[1] - ref[1]) <= 1e-12 * half
     if edge == "scan point":
         assert got[:2] == (0.0, 0.0)
+
+
+@contextlib.contextmanager
+def _search_starts():
+    """Record, for each crossing search reach_plan runs, the y-curve time at
+    the search's start (s = 0), in half periods."""
+    starts = []
+    saved = planner._crossing_search
+
+    def recording(sys, x_center, x_base, xi, s_max, y_center, y_base, zeta, t_max):
+        rate = zeta * sys.canonical.eig_real
+        t = math.log(abs(x_base - y_center) / abs(y_base - y_center)) / rate
+        starts.append(t / sys.half_period)
+        return saved(sys, x_center, x_base, xi, s_max, y_center, y_base, zeta=zeta, t_max=t_max)
+
+    planner._crossing_search = recording
+    try:
+        yield starts
+    finally:
+        planner._crossing_search = saved
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize(
+    "ratio, where",
+    [
+        # Fast contraction: the region is a thin lens between the corners,
+        # near +-1 in the unit frame, and the window's t is reached only
+        # near v(u_max) = +1, so targets close to it start past the window.
+        (2.0, "near v(u_max)"),
+        (2.0, "next to v(u_max)"),
+        (3.0, "near v(u_max)"),
+        (3.0, "next to v(u_max)"),
+        # Slow contraction: the deep middle starts tens of half periods
+        # past the window, and points 30% of the way to a corner more than
+        # two half periods before or past it.
+        (0.003, "middle"),
+        (0.003, "towards p_minus"),
+        (0.003, "towards p_plus"),
+        (0.001, "middle"),
+        (0.001, "towards p_minus"),
+        (0.001, "towards p_plus"),
+    ],
+)
+def test_reach_plan_matches_the_reference_from_far_outside_the_window(ratio, where, sign):
+    # The backward flow from these targets starts with its y-curve time far
+    # outside the half turn's window, where the search takes skip steps.
+    sys = _slow_system(sign * -ratio, skewed=True)
+    region = build_orbit_region(sys)
+    unit = region.work_system.unit
+    p_minus, p_plus = unit.to_unit(region.p_minus), unit.to_unit(region.p_plus)
+    w = {
+        "near v(u_max)": 1.0 + 1e-3 * (p_plus - 1.0),
+        "next to v(u_max)": 1.0 + 1e-4 * (p_plus - 1.0),
+        "middle": 0.0,
+        "towards p_minus": 0.3 * p_minus,
+        "towards p_plus": 0.3 * p_plus,
+    }[where]
+    target = from_unit(unit, w)
+    assert region.margin(target) > 0.0
+    with _search_starts() as starts:
+        _assert_matches_reference(sys, target)
+    last = starts[-1]
+    assert last < -0.5 or last > 1.5, last
+
+
+@pytest.mark.parametrize("ratio", [-3.0, -0.3, -0.03])
+@pytest.mark.parametrize("side", ["before", "past"])
+def test_crossing_search_root_at_the_end_of_a_skip_step(ratio, side):
+    # reach_plan's geometry: the flow about -1 run backwards (x-curve)
+    # against the half turn about +1 (y-curve, radius r0 at t = 0, window
+    # [0, half]).  The x-curve starts with t before the window (rho above
+    # r0) or past it (rho below r0 q), so the first step skips: it is the
+    # longest on which the x-curve travels at most |rho_edge - rho(0)|,
+    # here longer than the quarter half period that caps a searched step.
+    # The y-curve is then turned to cross the x-curve at the skip's end.
+    # There t is still outside the window, so the search must pass over
+    # that crossing and find the one the reference finds.
+    sys = _slow_system(ratio, skewed=True)
+    cf, half = sys.canonical, sys.half_period
+    lam, er = cf.lam, cf.eig_real
+    slack = 1e-9 * half
+    x_base = {"before": -1.0 + 0.02j, "past": 1.0 + 0.01j}[side]
+    rho_0 = abs(x_base - 1.0)
+    mu, speed = -er, abs(lam) * abs(x_base + 1.0)
+    cap_travel = speed * math.expm1(mu * 0.25 * half) / mu
+    if side == "before":
+        r0 = 0.5 * rho_0
+        rho_edge = r0 * math.exp(-er * slack)
+    else:
+        r0 = 4.0 * cap_travel * math.exp(-er * (half + slack))
+        rho_edge = r0 * math.exp(er * (half + slack))
+    s_skip = math.log1p(mu * abs(rho_edge - rho_0) / speed) / mu
+    assert s_skip > 0.25 * half
+    x_skip = -1.0 + cmath.exp(-lam * s_skip) * (x_base + 1.0)
+    t_skip = math.log(abs(x_skip - 1.0) / r0) / er
+    assert not -slack <= t_skip <= half + slack
+    y_base = 1.0 + cmath.exp(-lam * t_skip) * (x_skip - 1.0)
+    args = (sys, -1.0, x_base, -1.0, s_skip + 4.0 * half, 1.0, y_base)
+    got = _crossing_search(*args, zeta=1.0, t_max=half)
+    ref = scan_bisect_crossing_search(*args, zeta=1.0, t_max=half)
+    assert (got is None) == (ref is None)
+    if got is not None:
+        assert got[0] > s_skip and 0.0 <= got[1] <= half and got[2] <= 1e-14
+        assert abs(got[0] - ref[0]) <= 1e-12 * half and abs(got[1] - ref[1]) <= 1e-12 * half
+
+
+@pytest.mark.parametrize("ratio", [-100.0, -1000.0])
+def test_crossing_search_where_the_window_radius_overflows(ratio):
+    # spiral_crossing's geometry (zeta = -1) at extreme |k|: the window's far
+    # radius r0 e^{-eig_real t_max} is beyond the floats, so a skip step from
+    # before the window runs to s_max.  The search ends in a result or None,
+    # and spiral_crossing in a crossing or a typed error.
+    sys = _slow_system(ratio, skewed=True)
+    half, er = sys.half_period, sys.canonical.eig_real
+    t_max = 10.0 * half
+    with pytest.raises(OverflowError):
+        math.exp(-er * t_max)
+    found = _crossing_search(sys, -1.0, 0.3 + 0.4j, 1.0, t_max, 1.0, -1.0, zeta=-1.0, t_max=t_max)
+    assert found is None or (0.0 <= found[1] <= t_max and found[2] <= 1e-9)
+    e_min = equilibrium(sys, sys.u_min)
+    v = e_min + 0.1 * (equilibrium(sys, sys.u_max) - e_min) + [0.0, 0.01]
+    try:
+        s_at, t_at = spiral_crossing(sys, v, sys.u_max)
+    except NoIntersectionFound:
+        return
+    gap = flow(sys, s_at, v, sys.u_min) - flow(sys, -t_at, e_min, sys.u_max)
+    assert np.linalg.norm(gap) < 1e-9 * (1.0 + np.linalg.norm(v - e_min))
+
+
+class _CountingMath:
+    """``planner``'s ``math`` module, counting calls of atan2: ``level`` makes
+    one per evaluation, and each crossing search one more."""
+
+    def __init__(self):
+        self.atan2_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def atan2(self, y, x):
+        self.atan2_calls += 1
+        return math.atan2(y, x)
+
+
+def _mean_level_evaluations():
+    """Mean level evaluations per reach_plan request over a fixed batch of
+    144: |eig_real|/eig_imag log-spaced over [0.05, 3], both trace signs, and
+    three targets per system, on rays from the boundary's vertex centroid at
+    stratified fractions of the way to a vertex (as perfbench draws them)."""
+    rng = np.random.default_rng(157)
+    batch = []
+    for ratio in np.geomspace(0.05, 3.0, 24):
+        for sign in (-1.0, 1.0):
+            sys = _slow_system(sign * ratio, skewed=bool(rng.integers(2)))
+            region = build_orbit_region(sys)
+            poly = region.boundary[:-1]
+            centroid = poly.mean(axis=0)
+            for stratum in (np.arange(3) + rng.uniform(0.0, 1.0, 3)) / 3:
+                vertex = poly[rng.integers(len(poly))]
+                target = centroid + (0.05 + 0.8 * stratum) * (vertex - centroid)
+                batch.append((sys, target, 1e-9 * region.scale))
+    counting, searches = _CountingMath(), []
+    saved_math, saved_search = planner.math, planner._crossing_search
+
+    def counted_search(*args, **kwargs):
+        searches.append(None)
+        return saved_search(*args, **kwargs)
+
+    planner.math, planner._crossing_search = counting, counted_search
+    try:
+        for sys, target, epsilon in batch:
+            reach_plan(sys, target, epsilon)
+    finally:
+        planner.math, planner._crossing_search = saved_math, saved_search
+    return (counting.atan2_calls - len(searches)) / len(batch)
+
+
+def test_reach_plan_level_evaluations_stay_pinned():
+    # The scan that searched every step t could reach from its start, with
+    # ITP-held Illinois roots, took 47.17 level evaluations per request on
+    # this batch; skip steps and Newton roots take 22.83.  The pin allows at
+    # most 60% of the former.
+    assert _mean_level_evaluations() <= 0.6 * 47.17
 
 
 def test_spiral_crossing_examples(s0):
