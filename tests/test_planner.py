@@ -1,7 +1,6 @@
 """Hop planning (zero trace), reach planning, and spiral crossings."""
 
 import cmath
-import contextlib
 import math
 
 import numpy as np
@@ -434,24 +433,21 @@ def test_crossing_search_edges_match_the_reference(edge, ratio):
         assert got[:2] == (0.0, 0.0)
 
 
-@contextlib.contextmanager
-def _search_starts():
-    """Record, for each crossing search reach_plan runs, the y-curve time at
-    the search's start (s = 0), in half periods."""
+@pytest.fixture
+def search_starts(monkeypatch):
+    """The y-curve time at the start (s = 0) of each crossing search that
+    reach_plan runs on the package's search, in half periods."""
     starts = []
-    saved = planner._crossing_search
+    search = planner._crossing_search
 
     def recording(sys, x_center, x_base, xi, s_max, y_center, y_base, zeta, t_max):
         rate = zeta * sys.canonical.eig_real
         t = math.log(abs(x_base - y_center) / abs(y_base - y_center)) / rate
         starts.append(t / sys.half_period)
-        return saved(sys, x_center, x_base, xi, s_max, y_center, y_base, zeta=zeta, t_max=t_max)
+        return search(sys, x_center, x_base, xi, s_max, y_center, y_base, zeta=zeta, t_max=t_max)
 
-    planner._crossing_search = recording
-    try:
-        yield starts
-    finally:
-        planner._crossing_search = saved
+    monkeypatch.setattr(planner, "_crossing_search", recording)
+    return starts
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
@@ -476,7 +472,7 @@ def _search_starts():
         (0.001, "towards p_plus"),
     ],
 )
-def test_reach_plan_matches_the_reference_from_far_outside_the_window(ratio, where, sign):
+def test_reach_plan_matches_the_reference_from_far_outside_the_window(ratio, where, sign, search_starts):
     # The backward flow from these targets starts with its y-curve time far
     # outside the half turn's window, where the search takes skip steps.
     sys = _slow_system(sign * -ratio, skewed=True)
@@ -492,9 +488,8 @@ def test_reach_plan_matches_the_reference_from_far_outside_the_window(ratio, whe
     }[where]
     target = from_unit(unit, w)
     assert region.margin(target) > 0.0
-    with _search_starts() as starts:
-        _assert_matches_reference(sys, target)
-    last = starts[-1]
+    _assert_matches_reference(sys, target)
+    last = search_starts[-1]
     assert last < -0.5 or last > 1.5, last
 
 
@@ -577,11 +572,11 @@ class _CountingMath:
         return math.atan2(y, x)
 
 
-def _mean_level_evaluations():
-    """Mean level evaluations per reach_plan request over a fixed batch of
-    144: |eig_real|/eig_imag log-spaced over [0.05, 3], both trace signs, and
-    three targets per system, on rays from the boundary's vertex centroid at
-    stratified fractions of the way to a vertex (as perfbench draws them)."""
+def _count_batch():
+    """A fixed batch of 144 reach requests: |eig_real|/eig_imag log-spaced
+    over [0.05, 3], both trace signs, and three targets per system, on rays
+    from the boundary's vertex centroid at stratified fractions of the way
+    to a vertex (as perfbench draws them)."""
     rng = np.random.default_rng(157)
     batch = []
     for ratio in np.geomspace(0.05, 3.0, 24):
@@ -594,28 +589,27 @@ def _mean_level_evaluations():
                 vertex = poly[rng.integers(len(poly))]
                 target = centroid + (0.05 + 0.8 * stratum) * (vertex - centroid)
                 batch.append((sys, target, 1e-9 * region.scale))
-    counting, searches = _CountingMath(), []
-    saved_math, saved_search = planner.math, planner._crossing_search
-
-    def counted_search(*args, **kwargs):
-        searches.append(None)
-        return saved_search(*args, **kwargs)
-
-    planner.math, planner._crossing_search = counting, counted_search
-    try:
-        for sys, target, epsilon in batch:
-            reach_plan(sys, target, epsilon)
-    finally:
-        planner.math, planner._crossing_search = saved_math, saved_search
-    return (counting.atan2_calls - len(searches)) / len(batch)
+    return batch
 
 
-def test_reach_plan_level_evaluations_stay_pinned():
+def test_reach_plan_level_evaluations_stay_pinned(monkeypatch):
     # The scan that searched every step t could reach from its start, with
     # ITP-held Illinois roots, took 47.17 level evaluations per request on
     # this batch; skip steps and Newton roots take 22.83.  The pin allows at
     # most 60% of the former.
-    assert _mean_level_evaluations() <= 0.6 * 47.17
+    batch = _count_batch()
+    counting, searches = _CountingMath(), []
+    search = planner._crossing_search
+
+    def counted_search(*args, **kwargs):
+        searches.append(None)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "math", counting)
+    monkeypatch.setattr(planner, "_crossing_search", counted_search)
+    for sys, target, epsilon in batch:
+        reach_plan(sys, target, epsilon)
+    assert (counting.atan2_calls - len(searches)) / len(batch) <= 0.6 * 47.17
 
 
 def test_spiral_crossing_examples(s0):
