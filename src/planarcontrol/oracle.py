@@ -34,8 +34,9 @@ class GridSpec:
     ``bounds`` is (xmin, xmax, ymin, ymax).  ``control_samples`` of None means
     the default {u_min, midpoint, u_max}; an explicit tuple is used verbatim
     (collapsing it to a single value deliberately freezes the control).  A
-    grid of more than 2^24 cells is rejected: the sweep keeps 17 bytes
-    per cell (the occupancy flag and 16 subcell marks).
+    grid of more than 2^24 cells is rejected: the sweep's marks take 17 bytes
+    per cell (16 subcell marks and the occupancy flag), and its other scratch
+    arrays scale with the frontier, not the grid.
     """
 
     bounds: tuple[float, float, float, float]
@@ -48,10 +49,10 @@ class GridSpec:
         xmin, xmax, ymin, ymax = self.bounds
         if not (xmin < xmax and ymin < ymax):
             raise ValueError("bounds must satisfy xmin < xmax and ymin < ymax")
-        if self.dx <= 0.0 or self.dt <= 0.0:
-            raise ValueError("dx and dt must be positive")
-        if self.horizon < self.dt:
-            raise ValueError("horizon must be at least dt")
+        if self.dx <= 0.0 or not 0.0 < self.dt <= self.horizon < math.inf:
+            raise ValueError("dx and dt must be positive, and the horizon finite and at least dt")
+        if self.control_samples is not None and not np.isfinite(self.control_samples).all():
+            raise ValueError("control samples must be finite")
         # The area in cells first: it may be infinite, which shape cannot take.
         area = (xmax - xmin) / self.dx * ((ymax - ymin) / self.dx)
         if not area <= _MAX_CELLS or math.prod(self.shape) > _MAX_CELLS:
@@ -154,76 +155,83 @@ class ReachSet:
 def grid_reachable_set(sys: LinearControlSystem, v0, spec: GridSpec) -> ReachSet:
     """Breadth-first occupancy closure under exact one-step flows.
 
-    The frontier carries exact states (starting from ``v0`` itself); each
-    layer flows every frontier state for dt under every control sample and
-    marks the landed cells, so every occupied cell contains a genuinely
-    reachable point and the only error sources are dx, dt and the control
-    sampling.  States are deduplicated on a subgrid of dx/4 (one lexicographic
-    representative per subcell, which keeps occupancy independent of frontier
-    processing order); the sweep stops at the horizon or at a fixpoint, and
-    out-of-bounds landings are dropped and counted.
+    The frontier carries exact states, starting from ``v0``, which must lie
+    in the grid's half-open box [xmin, xmin + nx dx) x [ymin, ymin + ny dx).
+    Each layer flows every frontier state for dt under every control sample,
+    so every occupied cell contains a genuinely reachable point and the only
+    error sources are dx, dt and the control sampling.  States are
+    deduplicated on a subgrid of dx/4 (one lexicographic representative per
+    subcell, which keeps occupancy independent of frontier processing order);
+    the sweep stops at the horizon or at a fixpoint, and out-of-bounds
+    landings are dropped and counted.
 
-    Each layer is one pass over all control samples at once: the new subcells
-    are the sorted unique flat indices of the fresh landings, and their
-    representatives come from two scatter minima over the group ids, first of
-    x, then of y among the landings that attain that x.  No sort over floats
-    is needed, and the scratch arrays are sized by the frontier, not the grid.
+    A step is x' = m00 x + m01 y + b_x(u), and y' likewise, with b = c - M c,
+    in separate numpy multiplies and adds: these round alike on every
+    machine, while a BLAS product's last bit depends on its kernel and the
+    operands' layout.  One integer sort of a layer's fresh flat indices
+    groups its landings by subcell, and two scatter minima (of x, then of y
+    among the landings that attain it) pick the representatives, so scratch
+    is sized by the frontier, not the grid.  Occupancy is read off the
+    subcell marks after the last layer.
     """
     v0 = np.asarray(v0, dtype=float)
-    xmin, xmax, ymin, ymax = spec.bounds
-    if not (xmin <= v0[0] <= xmax and ymin <= v0[1] <= ymax):
-        raise ValueError("source point must lie within the grid bounds")
     samples = spec.control_samples
     if samples is None:
         samples = (sys.u_min, 0.5 * (sys.u_min + sys.u_max), sys.u_max)
-    m = sys.propagator(spec.dt)
-    mt = m.T.copy()
-    # One step is frontier @ m.T plus, per control sample, the offset
-    # c - m c of its centre c; shaped (k, 1, 2) to broadcast over the frontier.
-    offsets = np.array([c - m @ c for c in (-u * sys.inv_a_eta for u in samples)])
-    offsets = offsets.reshape(-1, 1, 2)
+    (m00, m01), (m10, m11) = sys.propagator(spec.dt).tolist()
+    # Per control sample (one row each), the offset c - M c of its centre c.
+    u = np.array(samples, dtype=float)[:, None]
+    cx, cy = -u * sys.inv_a_eta[0], -u * sys.inv_a_eta[1]
+    bx, by = cx - (m00 * cx + m01 * cy), cy - (m10 * cx + m11 * cy)
 
     refine = 4
     ny, nx = spec.shape
     fy, fx = ny * refine, nx * refine
-    occupancy = np.zeros((ny, nx), dtype=bool)
+    xmin, _, ymin, _ = spec.bounds
+    q = spec.dx / refine  # exact: x / q equals x / dx * refine bit for bit
+
+    def subcell(x, y):
+        """Flat row-major subcell indices of points, and which lie in the grid."""
+        col = np.floor((x - xmin) / q).astype(np.int64)
+        row = np.floor((y - ymin) / q).astype(np.int64)
+        # A negative index read as unsigned is huge: one compare per axis.
+        inside = (col.view(np.uint64) < fx) & (row.view(np.uint64) < fy)
+        return row * fx + col, inside
+
+    xs, ys = v0[0:1], v0[1:2]
+    with np.errstate(invalid="ignore"):  # a non-finite source lies outside
+        flat, inside = subcell(xs, ys)
+    if not inside[0]:
+        raise ValueError("source point must lie in the grid's half-open box")
     visited = np.zeros(fy * fx, dtype=bool)  # subcells, flat row-major
-
-    def subcell(points):
-        col = np.floor((points[:, 0] - xmin) / spec.dx * refine).astype(np.int64)
-        row = np.floor((points[:, 1] - ymin) / spec.dx * refine).astype(np.int64)
-        return row, col
-
-    row0, col0 = spec.cell_of(v0)
-    occupancy[row0[0], col0[0]] = True
-    srow0, scol0 = subcell(v0[None, :])
-    visited[srow0[0] * fx + scol0[0]] = True
-    frontier = v0[None, :]
+    visited[flat] = True
     spill = 0
     steps = int(math.floor(spec.horizon / spec.dt + 1e-9))
     steps_run = 0
     for _ in range(steps):
-        landed = (frontier @ mt + offsets).reshape(-1, 2)
-        srows, scols = subcell(landed)
-        ok = (srows >= 0) & (srows < fy) & (scols >= 0) & (scols < fx)
-        landed, flat = landed[ok], srows[ok] * fx + scols[ok]
-        spill += len(ok) - len(flat)
-        fresh = ~visited[flat]
+        x = (m00 * xs + m01 * ys + bx).ravel()
+        y = (m10 * xs + m11 * ys + by).ravel()
+        flat, inside = subcell(x, y)
+        keep = np.flatnonzero(inside)
+        spill += len(inside) - len(keep)
+        keep = keep[~visited[flat[keep]]]
         steps_run += 1
-        if not fresh.any():
+        if not len(keep):
             break
-        landed = landed[fresh]
-        flat, group = np.unique(flat[fresh], return_inverse=True)
+        keep = keep[np.argsort(flat[keep])]
+        flat, x, y = flat[keep], x[keep], y[keep]
+        head = np.concatenate(([True], flat[1:] != flat[:-1]))  # first per subcell
+        group = np.cumsum(head) - 1
+        flat = flat[head]
         # One representative per new subcell: the lexicographic (x, y) minimum.
-        x, y = landed[:, 0], landed[:, 1]
-        best_x = np.full(len(flat), np.inf)
-        np.minimum.at(best_x, group, x)
-        on_min = x == best_x[group]
-        best_y = np.full(len(flat), np.inf)
-        np.minimum.at(best_y, group[on_min], y[on_min])
-        frontier = np.column_stack([best_x, best_y])
+        xs = np.full(len(flat), np.inf)
+        np.minimum.at(xs, group, x)
+        on_min = x == xs[group]
+        ys = np.full(len(flat), np.inf)
+        np.minimum.at(ys, group[on_min], y[on_min])
         visited[flat] = True
-        occupancy[flat // fx // refine, flat % fx // refine] = True
+    # The refine = 4 subcells of one cell in one subcell row are one 4-byte word.
+    occupancy = visited.view(np.uint32).reshape(ny, refine, nx).any(axis=1)
     return ReachSet(
         occupancy=occupancy,
         source=v0,

@@ -96,6 +96,11 @@ def _run(tmp_path, command, doc, *extra):
         ("plan", {"a": ZERO_TRACE["a"]}),
         ("sweep", {}),
         ("sweep", {"sweep": {"nu": 0.0, "grid": [[-1.0, 1.0, 2.0]]}}),
+        # A start on the upper edge of the grid's half-open box.
+        ("reach", {"start": [1.0, 0.5], "grid": {"dx": 0.25, "dt": 0.1, "horizon": 0.5,
+                                                  "bounds": [0.0, 1.0, 0.0, 1.0]}}),
+        ("reach", {"start": [1.0, 1.0], "grid": {"dx": 0.25, "dt": 0.1, "horizon": 0.5,
+                                                  "bounds": [0.0, 1.0, 0.0, 1.0]}}),
     ],
 )
 def test_malformed_field_exits_2_without_artifacts(tmp_path, capsys, command, change):

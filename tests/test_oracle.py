@@ -1,6 +1,7 @@
 """Grid reachability, Hausdorff distances, and the distance-bound check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ def _lexsort_reachable_set(sys, v0, spec):
 
 def test_one_pass_step_matches_lexsort_reference():
     rng = np.random.default_rng(1109)
-    spilled = set()
+    cases = []
     for trace_sign in (-1, 0, 1):
         for direction in ("forward", "backward"):
             for kind in ("default", "tie", "five"):
@@ -208,13 +209,31 @@ def test_one_pass_step_matches_lexsort_reference():
                     v0 = c + rng.uniform(-0.1, 0.1, 2) * half
                     if direction == "backward":
                         sys = sys.time_reversed()
-                    got = grid_reachable_set(sys, v0, spec)
-                    occupancy, spill, steps = _lexsort_reachable_set(sys, v0, spec)
-                    case = (trace_sign, direction, kind, box)
-                    assert np.array_equal(got.occupancy, occupancy), case
-                    assert got.spill_count == spill, case
-                    assert got.steps_run == steps, case
-                    spilled.add(spill > 0)
+                    cases.append(((trace_sign, direction, kind, box), sys, v0, spec))
+    # An expanding flow on a fine grid: the largest of its 10 layers holds
+    # 24,993 fresh landings, three times perfbench's largest cli layer.
+    sys = LinearControlSystem([[0.2, -1.0], [1.0, 0.2]], [0.0, 1.0], -1.0, 1.0)
+    c = 0.5 * (equilibrium(sys, -1.0) + equilibrium(sys, 1.0))
+    box = (c[0] - 3.0, c[0] + 3.0, c[1] - 3.0, c[1] + 3.0)
+    half = sys.half_period
+    cases.append(("large layer", sys, c, GridSpec(box, 6.0 / 128, half / 10.0, half)))
+    # A source exactly on a subcell edge in x (37 quarter cells in) and on a
+    # cell edge in y: it belongs to the subcell above each edge.
+    sys = LinearControlSystem([[-0.2, -1.0], [1.0, -0.2]], [0.0, 1.0], -1.0, 1.0)
+    spec = GridSpec((-2.0, 2.0, -2.0, 2.0), 0.125, sys.half_period / 8.0, 4.0 * sys.half_period)
+    v0 = np.array([-2.0 + 37 * 0.125 / 4, 0.0])
+    first = grid_reachable_set(sys, v0, GridSpec(spec.bounds, 0.125, 1.0, 1.0, (0.0,)))
+    assert first.occupancy[15:17, 9].tolist() == [False, True]
+    cases.append(("subcell edge", sys, v0, spec))
+
+    spilled = set()
+    for case, sys, v0, spec in cases:
+        got = grid_reachable_set(sys, v0, spec)
+        occupancy, spill, steps = _lexsort_reachable_set(sys, v0, spec)
+        assert np.array_equal(got.occupancy, occupancy), case
+        assert got.spill_count == spill, case
+        assert got.steps_run == steps, case
+        spilled.add(spill > 0)
     assert spilled == {True, False}
 
 
@@ -295,14 +314,55 @@ def test_grid_spec_validation(s0):
         GridSpec((0.0, 1.0, 0.0, 1.0), -0.1, 0.1, 1.0)
     with pytest.raises(ValueError):
         GridSpec((0.0, 1.0, 0.0, 1.0), 0.1, 0.1, 0.05)
+    # Non-finite steps, horizons and control samples.
+    for dt, horizon in ((0.1, math.inf), (0.1, math.nan), (math.nan, 1.0), (math.inf, math.inf)):
+        with pytest.raises(ValueError):
+            GridSpec((0.0, 1.0, 0.0, 1.0), 0.1, dt, horizon)
+    with pytest.raises(ValueError):
+        GridSpec((0.0, 1.0, 0.0, 1.0), 0.1, 0.1, 1.0, (0.0, math.nan))
     spec = GridSpec((-1.0, 1.0, -1.0, 1.0), 0.1, 0.1, 1.0)
     with pytest.raises(ValueError):
         grid_reachable_set(s0, [5.0, 5.0], spec)
+    with pytest.raises(ValueError):
+        grid_reachable_set(s0, [math.nan, 0.0], spec)
     # More than 2^24 cells, or a width in cells that overflows.
     with pytest.raises(ValueError):
         GridSpec((0.0, 1.0, 0.0, 1.0), 1e-4, 0.1, 1.0)
     with pytest.raises(ValueError):
         GridSpec((-1e308, 1e308, 0.0, 1.0), 1.0, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("start", [(1.0, 0.5), (0.5, 1.0), (1.0, 1.0)], ids=["x", "y", "corner"])
+def test_source_on_the_upper_edge_is_outside_the_half_open_box(start):
+    sys = LinearControlSystem([[-0.1, -1.0], [1.0, -0.1]], [0.0, 1.0], -1.0, 1.0)
+    spec = GridSpec((0.0, 1.0, 0.0, 1.0), 0.25, 0.1, 0.5)
+    assert spec.shape == (4, 4)
+    with pytest.raises(ValueError, match="half-open"):
+        grid_reachable_set(sys, start, spec)
+    # The lower edges and the last float below each upper edge are inside.
+    below = np.nextafter(1.0, 0.0)
+    for inside in ((0.0, 0.0), (below, 0.5), (0.5, below), (below, below)):
+        reach = grid_reachable_set(sys, inside, spec)
+        assert reach.contains([inside])[0]
+
+
+def test_sweep_memory_is_the_marks_and_frontier_sized_scratch():
+    # 256 x 256 cells, about a sixth of them reached in three half periods.
+    # The subcell marks and the occupancy take 17 bytes per cell; the rest
+    # of the traced peak is scratch that grows with the frontier.  Scratch
+    # sized by the grid (float arrays per subcell) would read several
+    # hundred bytes per cell.
+    sys = LinearControlSystem([[-0.2, -1.0], [1.0, -0.2]], [0.0, 1.0], -1.0, 1.0)
+    half = sys.half_period
+    spec = GridSpec((-6.0, 6.0, -6.0, 6.0), 12.0 / 256, half / 16.0, 3.0 * half)
+    tracemalloc.start()
+    try:
+        reach = grid_reachable_set(sys, [0.0, 0.0], spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reach.occupied_count() > 10_000
+    assert peak <= 64 * 256 * 256
 
 
 def test_distance_bound_direct_case(s0):
