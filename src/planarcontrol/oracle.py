@@ -49,8 +49,10 @@ class GridSpec:
         xmin, xmax, ymin, ymax = self.bounds
         if not (xmin < xmax and ymin < ymax):
             raise ValueError("bounds must satisfy xmin < xmax and ymin < ymax")
-        if self.dx <= 0.0 or not 0.0 < self.dt <= self.horizon < math.inf:
-            raise ValueError("dx and dt must be positive, and the horizon finite and at least dt")
+        # horizon / dt is the sweep's step count, so it must be finite too.
+        steps_ok = 0.0 < self.dt <= self.horizon and self.horizon / self.dt < math.inf
+        if self.dx <= 0.0 or not steps_ok:
+            raise ValueError("dx and dt must be positive, and horizon / dt finite and at least 1")
         if self.control_samples is not None and not np.isfinite(self.control_samples).all():
             raise ValueError("control samples must be finite")
         # The area in cells first: it may be infinite, which shape cannot take.

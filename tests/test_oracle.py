@@ -314,8 +314,8 @@ def test_grid_spec_validation(s0):
         GridSpec((0.0, 1.0, 0.0, 1.0), -0.1, 0.1, 1.0)
     with pytest.raises(ValueError):
         GridSpec((0.0, 1.0, 0.0, 1.0), 0.1, 0.1, 0.05)
-    # Non-finite steps, horizons and control samples.
-    for dt, horizon in ((0.1, math.inf), (0.1, math.nan), (math.nan, 1.0), (math.inf, math.inf)):
+    # Non-finite steps, horizons, step counts and control samples.
+    for dt, horizon in ((0.1, math.inf), (0.1, math.nan), (math.nan, 1.0), (math.inf, math.inf), (1e-300, 1e10)):
         with pytest.raises(ValueError):
             GridSpec((0.0, 1.0, 0.0, 1.0), 0.1, dt, horizon)
     with pytest.raises(ValueError):
