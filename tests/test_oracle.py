@@ -220,7 +220,8 @@ def test_one_pass_step_matches_lexsort_reference():
     # A source exactly on a subcell edge in x (37 quarter cells in) and on a
     # cell edge in y: it belongs to the subcell above each edge.
     sys = LinearControlSystem([[-0.2, -1.0], [1.0, -0.2]], [0.0, 1.0], -1.0, 1.0)
-    spec = GridSpec((-2.0, 2.0, -2.0, 2.0), 0.125, sys.half_period / 8.0, 4.0 * sys.half_period)
+    half = sys.half_period
+    spec = GridSpec((-2.0, 2.0, -2.0, 2.0), 0.125, half / 8.0, 4.0 * half)
     v0 = np.array([-2.0 + 37 * 0.125 / 4, 0.0])
     first = grid_reachable_set(sys, v0, GridSpec(spec.bounds, 0.125, 1.0, 1.0, (0.0,)))
     assert first.occupancy[15:17, 9].tolist() == [False, True]
@@ -315,7 +316,8 @@ def test_grid_spec_validation(s0):
     with pytest.raises(ValueError):
         GridSpec((0.0, 1.0, 0.0, 1.0), 0.1, 0.1, 0.05)
     # Non-finite steps, horizons, step counts and control samples.
-    for dt, horizon in ((0.1, math.inf), (0.1, math.nan), (math.nan, 1.0), (math.inf, math.inf), (1e-300, 1e10)):
+    for dt, horizon in ((0.1, math.inf), (0.1, math.nan), (math.nan, 1.0),
+                        (math.inf, math.inf), (1e-300, 1e10)):
         with pytest.raises(ValueError):
             GridSpec((0.0, 1.0, 0.0, 1.0), 0.1, dt, horizon)
     with pytest.raises(ValueError):
