@@ -9,9 +9,11 @@ SVG, and float serialization uses the shortest round-trip decimal so reruns
 are byte-identical.
 
 A command reads only what it needs.  The region is built once for a nonzero
-trace; the orbit at ``samples`` points per arc is sampled on first read: by
-analyze and orbit, and by every command for the SVG's boundary.  The report's
+trace; the orbit at ``samples`` points per arc is sampled only by analyze
+(whose checks read it) and orbit (whose CSV writes it).  The report's
 ``orbit_samples`` is the length of the polyline the run sampled, 0 if none.
+The SVG draws every arc (the boundary's half turns, each plan segment) as
+exact cubic pieces (:func:`planarcontrol.svg.bezier_path`), not as samples.
 
 Exit codes: 0 success; 2 config or system validation failure; 3 planner
 failure; 4 I/O failure.
@@ -49,8 +51,8 @@ from .errors import (
 from .geometry import build_orbit_region, line_order_coordinates
 from .oracle import ReachSet, default_grid_spec, grid_reachable_set
 from .planner import hop_plan, reach_plan
-from .svg import render_svg
-from .system import LinearControlSystem, equilibrium, flow, simulate
+from .svg import BezierPath, bezier_path, render_svg
+from .system import LinearControlSystem, equilibrium, flow
 
 __all__ = ["SystemConfig", "main", "parse_config", "run"]
 
@@ -325,8 +327,10 @@ def _analysis_checks(region, poly: np.ndarray, seed: int) -> list[dict]:
 class _Run:
     """One run: the system, its region (built once, None at zero trace) and
     the work system's orbit at ``samples`` points per arc, sampled on first
-    read.  Commands add to ``report``, ``outputs`` (name, path, text) and
-    the SVG's ``layers`` and ``markers``."""
+    read; only analyze and orbit read it.  Commands add to ``report``,
+    ``outputs`` (name, path, text) and, under ``--svg``, to the SVG's
+    ``layers`` (polylines and :class:`~planarcontrol.svg.BezierPath`) and
+    ``markers``."""
 
     def __init__(self, command: str, cfg: SystemConfig, args):
         self.cfg, self.args = cfg, args
@@ -343,7 +347,7 @@ class _Run:
             "checks": [],
         }
         self.outputs: list[tuple[str, str, str]] = []
-        self.layers: list[np.ndarray] = []
+        self.layers: list = []
         self.markers: list[np.ndarray] = []
 
     @functools.cached_property
@@ -359,6 +363,20 @@ class _Run:
 
     def emit(self, name: str, text: str) -> None:
         self.outputs.append((name, os.path.join(self.args.out, name), text))
+
+
+def _draw(system: LinearControlSystem, v0, schedule) -> BezierPath:
+    """The exact arcs of ``schedule`` from ``v0``, as an SVG layer."""
+    try:
+        return bezier_path(system, v0, schedule)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
+def _orbit_schedule(system: LinearControlSystem) -> tuple:
+    """The boundary orbit from p_plus: one half turn under each extreme control."""
+    half = system.half_period
+    return ((system.u_min, half), (system.u_max, half))
 
 
 def _analyze(ctx: _Run) -> None:
@@ -417,13 +435,9 @@ def _plan(ctx: _Run) -> None:
         "time_reversed": plan.time_reversed,
     }
     ctx.emit("plan.json", _json_text(ctx.report["plan"]))
-    if ctx.args.svg is not None:  # the dense trajectory is drawn, never written
-        sim_sys = ctx.region.work_system if plan.time_reversed else sys_
-        try:
-            traj = simulate(sim_sys, plan.start, plan.schedule)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        ctx.layers.append(traj.dense_states)
+    if ctx.args.svg is not None:  # the trajectory is drawn, never written
+        work = ctx.region.work_system if plan.time_reversed else sys_
+        ctx.layers.append(_draw(work, plan.start, plan.schedule))
     ctx.markers.extend([plan.start, plan.goal])
 
 
@@ -447,7 +461,10 @@ def _reach(ctx: _Run) -> None:
     }
     ctx.emit("reach.json", _json_text(ctx.report["reach"]))
     if ctx.region is None:  # otherwise the boundary is the base layer
-        ctx.layers.append(pts)
+        ny, nx = spec.shape
+        xmin, _, ymin, _ = spec.bounds
+        xmax, ymax = xmin + nx * spec.dx, ymin + ny * spec.dx  # the grid's whole box
+        ctx.layers.append([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax], [xmin, ymin]])
     ctx.markers.extend(pts[:: max(1, len(pts) // 400)])
 
 
@@ -471,8 +488,10 @@ def _sweep(ctx: _Run) -> None:
         "points": len(points),
         "p_plus_coordinates": [p.p_plus_coordinate for p in points],
     }
-    for p in points[-3:]:
-        ctx.layers.append(p.boundary)
+    if ctx.args.svg is not None:
+        for p in points[-3:]:
+            system = LinearControlSystem(ctx.sys.a, ctx.sys.eta, p.alpha, p.rho)
+            ctx.layers.append(_draw(system, p.p_plus, _orbit_schedule(system)))
 
 
 # Each subcommand: its help text and the function that runs it.
@@ -499,7 +518,8 @@ def run(command: str, cfg: SystemConfig, args) -> dict:
     if args.svg is not None:
         region, sys_ = ctx.region, ctx.sys
         if region is not None:
-            ctx.layers.insert(0, ctx.orbit.polyline())
+            work = region.work_system
+            ctx.layers.insert(0, _draw(work, region.p_plus, _orbit_schedule(work)))
             ctx.markers[:0] = [region.p_plus, region.p_minus,
                                equilibrium(sys_, sys_.u_min), equilibrium(sys_, sys_.u_max)]
         if not ctx.layers:

@@ -117,6 +117,17 @@ def random_trace_zero_system(
     return LinearControlSystem(a, eta, u_min, u_max)
 
 
+def spiral_drift(ratio: float, skewed: bool) -> np.ndarray:
+    """A drift with eigenvalues 1.3 (ratio ± i), in a basis of condition
+    number about 100 when ``skewed``; at ratio 0 its trace is exactly zero."""
+    c = 1.3 * np.array([[ratio, -1.0], [1.0, ratio]])
+    if not skewed:
+        return c
+    s = np.array([[10.0, 0.0], [3.0, 0.1]])
+    a = s @ c @ np.linalg.inv(s)
+    return a - 0.5 * np.trace(a) * np.eye(2) if ratio == 0.0 else a
+
+
 def series_expm(a, t: float, terms: int = 80) -> np.ndarray:
     """Truncated power series for exp(t a); independent of the closed form."""
     a = np.asarray(a, dtype=float)

@@ -4,8 +4,9 @@ The package decides membership with the closed-form log-spiral margin; these
 helpers check the steps behind it on samples: the tangent margin of a moving
 spiral is nonnegative, a spiral region is invariant, and the distance to the
 enclosed region contracts (or expands) at the rate e^{s eig_real}.  The
-all-pairs polyline distance is the reference of the package's pruned one, and
-the fixed-step crossing scan with bisected roots that of its crossing search.
+all-pairs polyline distance is the reference of the package's pruned one, the
+all-pairs Hausdorff distance that of its output-sensitive one, and the
+fixed-step crossing scan with bisected roots that of its crossing search.
 """
 
 import contextlib
@@ -223,6 +224,30 @@ def all_pairs_distance(points, polyline: np.ndarray) -> np.ndarray:
         rx += ry
         out[lo : lo + chunk] = np.sqrt(rx.min(axis=1))
     return out
+
+
+def all_pairs_hausdorff(set_a, set_b) -> float:
+    """Hausdorff distance of two finite point sets over every pair of points.
+
+    The package's former ``oracle.hausdorff``, kept as the reference of the
+    output-sensitive one: the same squared terms in the same floating-point
+    operations, so the two agree bit for bit.
+    """
+    a = np.atleast_2d(np.asarray(set_a, dtype=float))
+    b = np.atleast_2d(np.asarray(set_b, dtype=float))
+    # Squared distances, (chunk, m) per chunk of a to stay in cache: row
+    # minima measure a to b, column minima over all chunks b to a.
+    worst = 0.0
+    col_min = np.full(len(b), np.inf)
+    chunk = max(1, 16384 // len(b))
+    for lo in range(0, len(a), chunk):
+        d2 = a[lo : lo + chunk, 0:1] - b[:, 0]
+        dy = a[lo : lo + chunk, 1:2] - b[:, 1]
+        d2 *= d2
+        d2 += dy * dy
+        worst = max(worst, float(d2.min(axis=1).max()))
+        np.minimum(col_min, d2.min(axis=0), out=col_min)
+    return math.sqrt(max(worst, float(col_min.max())))
 
 
 def scan_bisect_crossing_search(

@@ -101,6 +101,9 @@ def _run(tmp_path, command, doc, *extra):
                                                   "bounds": [0.0, 1.0, 0.0, 1.0]}}),
         ("reach", {"start": [1.0, 1.0], "grid": {"dx": 0.25, "dt": 0.1, "horizon": 0.5,
                                                   "bounds": [0.0, 1.0, 0.0, 1.0]}}),
+        # One step of an expanding flow whose map overflows.
+        ("reach", {"a": [[1.0, -1.0], [1.0, 1.0]], "eta": [0.0, 1.0], "start": [0.5, 0.5],
+                   "grid": {"dx": 0.1, "dt": 800.0, "horizon": 800.0, "bounds": [0, 1, 0, 1]}}),
     ],
 )
 def test_malformed_field_exits_2_without_artifacts(tmp_path, capsys, command, change):
@@ -147,7 +150,7 @@ def test_removed_tau_grid_is_named(tmp_path, capsys):
     assert "'tau_grid' was removed" in capsys.readouterr().err
 
 
-def test_plan_simulates_only_for_svg(tmp_path, monkeypatch):
+def test_plan_draws_only_for_svg(tmp_path, monkeypatch):
     runs = {}
     for name, extra in (("plain", ()), ("svg", ("--svg", str(tmp_path / "p.svg")))):
         sub = tmp_path / name
@@ -155,13 +158,15 @@ def test_plan_simulates_only_for_svg(tmp_path, monkeypatch):
         code, out = _run(sub, "plan", BASE, *extra)
         assert code == 0
         runs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert (tmp_path / "p.svg").exists()
+    # The trajectory is drawn as exact arcs, not as a dense polyline.
+    svg = (tmp_path / "p.svg").read_text()
+    assert svg.count("<path d=") == 2 and "<polyline" not in svg
     assert runs["plain"] == runs["svg"]
-    # Without --svg the dense trajectory is never computed.
-    def no_simulate(*args, **kwargs):
-        raise AssertionError("simulate called without --svg")
+    # Without --svg no arc is drawn.
+    def no_drawing(*args, **kwargs):
+        raise AssertionError("bezier_path called without --svg")
 
-    monkeypatch.setattr("planarcontrol.cli.simulate", no_simulate)
+    monkeypatch.setattr("planarcontrol.cli.bezier_path", no_drawing)
     sub = tmp_path / "patched"
     sub.mkdir()
     code, out = _run(sub, "plan", BASE)
@@ -500,8 +505,9 @@ def _artifacts(tmp_path, name, command, doc, svg, capsys):
     ids=[f"{c}-negative" for c in _COMMANDS] + [f"{c}-positive" for c in _COMMANDS if c != "sweep"],
 )
 def test_orbit_is_sampled_only_when_read(tmp_path, monkeypatch, capsys, command, doc):
-    # analyze reads the boundary and orbit writes it; the other commands
-    # sample it only to draw it under --svg.  Artifacts never depend on --svg.
+    # analyze reads the boundary and orbit writes it; no other command
+    # samples it, since --svg draws its exact arcs.  Artifacts never depend
+    # on --svg.
     calls = []
 
     def counted(*args, **kwargs):
@@ -514,7 +520,7 @@ def test_orbit_is_sampled_only_when_read(tmp_path, monkeypatch, capsys, command,
         calls.clear()
         code, report, files = _artifacts(tmp_path, str(svg), command, doc, svg, capsys)
         assert code == 0
-        reads = svg or command in ("analyze", "orbit")
+        reads = command in ("analyze", "orbit")
         assert bool(calls) == reads
         assert report["orbit_samples"] == (2 * SMALL["samples"] + 1 if reads else 0)
         runs[svg] = files
@@ -549,13 +555,50 @@ def test_parser_offers_exactly_the_command_table():
     assert list(sub.choices) == list(_COMMANDS)
 
 
+# Curves each --svg draws above the boundary: plan its trajectory, sweep its
+# last three boundaries, zero-trace reach the grid's box.
+_SVG_PATHS = {"analyze": 0, "orbit": 0, "member": 0, "plan": 1, "reach": 0, "sweep": 3}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [(c, SMALL) for c in _COMMANDS] + [("plan", SMALL_ZERO), ("reach", SMALL_ZERO)],
+    ids=[f"{c}-negative" for c in _COMMANDS] + ["plan-zero", "reach-zero"],
+)
+def test_svg_draws_exact_arcs_and_the_grid_box(tmp_path, monkeypatch, capsys, command, doc):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(grid_reachable_set(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr("planarcontrol.cli.grid_reachable_set", spy)
+    code, report, files = _artifacts(tmp_path, "run", command, doc, True, capsys)
+    assert code == 0
+    svg = files["plot.svg"].decode()
+    zero = doc is SMALL_ZERO
+    assert svg.count("<path d=") == _SVG_PATHS[command] + (0 if zero else 1)
+    circles = svg.count("<circle ")
+    if command == "reach" and zero:
+        # The grid's whole box, and its occupancy markers as before.
+        (line,) = [row for row in svg.splitlines() if row.startswith("<polyline")]
+        vertices = line.split('points="')[1].split('"')[0].split()
+        assert len(vertices) == 5 and vertices[0] == vertices[-1]
+        assert len({v.split(",")[0] for v in vertices}) == len({v.split(",")[1] for v in vertices}) == 2
+        pts = seen[0].occupied_points()
+        assert circles == len(pts[:: max(1, len(pts) // 400)])
+    else:
+        assert "<polyline" not in svg
+
+
 def test_plan_too_long_to_draw_exits_2_without_artifacts(tmp_path, capsys):
-    # 5,000 hops from (0, 1e4) would draw about 1.28 million dense points.
+    # 5,000 hops from (0, 1e4) would draw 80,000 cubic pieces, 16 per half
+    # turn, more than the 2^16 a path may take.
     doc = {**ZERO_TRACE, "start": [0.0, 1e4]}
     svg = tmp_path / "plan.svg"
     code, out = _run(tmp_path, "plan", doc, "--svg", str(svg))
     assert code == 2
-    assert "dense sampling needs" in capsys.readouterr().err
+    assert "drawing needs 80000 cubic pieces, more than 65536" in capsys.readouterr().err
     assert not out.exists() and not svg.exists()
     code, out = _run(tmp_path, "plan", doc)
     assert code == 0

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from planarcontrol.controlset import periodic_orbit
+from planarcontrol import oracle
+from planarcontrol.controlset import periodic_orbit, sweep_control_ranges
 from planarcontrol.errors import EmptySet
 from planarcontrol.geometry import build_orbit_region, polyline_distance
 from planarcontrol.oracle import (
@@ -21,8 +22,9 @@ from conftest import (
     random_normal_system,
     random_system,
     random_trace_zero_system,
+    spiral_drift,
 )
-from lemmas import distance_bound_slack
+from lemmas import all_pairs_hausdorff, distance_bound_slack
 
 
 def test_singleton_control_at_equilibrium_occupies_only_source(s0):
@@ -91,6 +93,11 @@ def test_hausdorff_examples():
     assert hausdorff([[0.0, 0.0]], [[3.0, 4.0]]) == 5.0
     with pytest.raises(EmptySet):
         hausdorff(np.zeros((0, 2)), [[0.0, 0.0]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite points"):
+            hausdorff([[0.0, 0.0], [1.0, 2.0]], [[0.5, bad]])
+        with pytest.raises(ValueError, match="finite points"):
+            hausdorff([[bad, 0.0]], [[0.0, 0.0]])
 
 
 def test_hausdorff_is_symmetric_and_detects_outliers():
@@ -115,6 +122,88 @@ def test_hausdorff_equals_scalar_double_loop():
         a = rng.normal(0.0, 1.0, (n, 2))
         b = rng.normal(0.3, 2.0, (m, 2))
         assert hausdorff(a, b) == max(directed(a, b), directed(b, a))
+
+
+def _homothetic_family(ratio, skewed, samples, count=4):
+    """Boundaries of the first ``count`` ranges nu ± f w / 2, f = 0.5, 1,
+    1.5, 2: each is the previous one scaled about v(nu)."""
+    grid = [(0.3 - 0.6 * f, 0.3 + 0.6 * f) for f in (0.5, 1.0, 1.5, 2.0)][:count]
+    family = sweep_control_ranges(spiral_drift(ratio, skewed), [0.4, -0.7], 0.3, grid, samples)
+    return [p.boundary for p in family]
+
+
+def _shifted_family(samples, count=4):
+    """Boundaries of the first ``count`` of four ranges with moving midpoints
+    on the reference system; the middle two cross."""
+    grid = [(-1.0, 1.0), (-1.5, 1.5), (-0.5, 2.0), (-3.0, 0.25)][:count]
+    family = sweep_control_ranges([[-1.0, -1.0], [1.0, -1.0]], [1.0, 0.0], 0.0, grid, samples)
+    return [p.boundary for p in family]
+
+
+@pytest.mark.parametrize("samples", [16, 64, 256, 1024])
+def test_hausdorff_equals_all_pairs_on_sweep_families(samples):
+    families = [_shifted_family(samples)] + [
+        _homothetic_family(ratio, skewed, samples)
+        for ratio in (-0.05, -0.4, -1.0, -3.0)
+        for skewed in (False, True)
+    ]
+    for family in families:
+        for prev, cur in zip(family, family[1:]):
+            assert hausdorff(cur, prev) == all_pairs_hausdorff(cur, prev)
+
+
+def test_hausdorff_equals_all_pairs_at_4096_samples_per_arc():
+    # The skewed pair is the bound's worst case: most points need an exact
+    # minimum in one direction.
+    for family in (_shifted_family(4096, 2), _homothetic_family(-0.4, True, 4096, 2)):
+        for prev, cur in zip(family, family[1:]):
+            assert hausdorff(cur, prev) == all_pairs_hausdorff(cur, prev)
+
+
+def test_hausdorff_equals_all_pairs_on_awkward_sets():
+    rng = np.random.default_rng(29)
+    curve = np.stack([np.cos(np.linspace(0, 6, 700)), np.sin(np.linspace(0, 6, 700))], axis=1)
+    one = np.array([[0.25, -2.0]])
+    cases = [
+        (one, one),
+        (one, curve),
+        (curve, one),
+        (curve[:1], curve[-1:]),
+        (curve[::3], curve[1::2] * 1.01),  # n != m along one curve
+        (curve[:50], curve[::-1] + 0.02),  # one set traversed the other way
+        (np.repeat(curve[::10], 4, axis=0), curve[::7]),  # duplicate points
+        (np.zeros((40, 2)), np.zeros((9, 2))),  # every distance zero
+        # Unrelated random sets: the bound's worst case.
+        (rng.normal(0.0, 1.0, (600, 2)), rng.normal(0.5, 3.0, (900, 2))),
+        (rng.uniform(-1.0, 1.0, (2000, 2)), rng.uniform(-1.0, 1.0, (1500, 2))),
+        (rng.normal(0.0, 1.0, (300, 2)), rng.normal(0.0, 1.0, (3, 2))),
+    ]
+    for a, b in cases:
+        assert hausdorff(a, b) == all_pairs_hausdorff(a, b)
+        assert hausdorff(b, a) == all_pairs_hausdorff(b, a)
+
+
+def test_hausdorff_takes_few_exact_rows_on_sampled_alike_boundaries(monkeypatch):
+    # Consecutive boundaries of a family scaled about v(nu), as in the CLI's
+    # sweep, at 4,096 samples per arc (8,193 points each): one batch of 8
+    # exact rows per direction, against 8,193 for all pairs.
+    family = _homothetic_family(-0.4, False, 4096)
+    rows = []
+    directed, minima = oracle._directed_sq, oracle._min_sq_distances
+
+    def one_direction(a, b):
+        rows.append(0)
+        return directed(a, b)
+
+    def counted(a, b):
+        rows[-1] += len(a)
+        return minima(a, b)
+
+    monkeypatch.setattr(oracle, "_directed_sq", one_direction)
+    monkeypatch.setattr(oracle, "_min_sq_distances", counted)
+    for prev, cur in zip(family, family[1:]):
+        hausdorff(cur, prev)
+    assert rows == [8] * 6
 
 
 def _lexsort_reachable_set(sys, v0, spec):
