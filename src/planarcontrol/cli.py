@@ -4,19 +4,24 @@ Subcommands: analyze, orbit, member, plan, reach, sweep, one entry each in
 ``_COMMANDS`` (help text and function).  The config, a single JSON document,
 is the only input of a run: the command line adds just the output directory
 (``--out``) and an optional SVG path (``--svg``), and no environment variable
-is read.  Outputs are JSON/CSV files written atomically plus the optional
-SVG, and float serialization uses the shortest round-trip decimal so reruns
-are byte-identical.
+is read.  Each config field is described once, in ``_FIELDS``: its path, its
+:class:`SystemConfig` attribute, its shape and its range.  Outputs are
+JSON/CSV files written atomically plus the optional SVG; floats are written
+as the shortest round-trip decimal so reruns are byte-identical, and no JSON
+text holds ``Infinity`` or ``NaN``.
 
 A command reads only what it needs.  The region is built once for a nonzero
-trace; the orbit at ``samples`` points per arc is sampled only by analyze
-(whose checks read it) and orbit (whose CSV writes it).  The report's
-``orbit_samples`` is the length of the polyline the run sampled, 0 if none.
-The SVG draws every arc (the boundary's half turns, each plan segment) as
-exact cubic pieces (:func:`planarcontrol.svg.bezier_path`), not as samples.
+trace; analyze (whose checks read it) and orbit (whose CSV writes it) each
+sample one orbit at ``samples`` points per arc, and no other command samples
+any.  The report's ``orbit_samples`` is the length of that polyline, 0 if
+none.  The SVG draws every arc (the boundary's half turns, each plan
+segment) as exact cubic pieces (:func:`planarcontrol.svg.bezier_path`).
 
-Exit codes: 0 success; 2 config or system validation failure; 3 planner
-failure; 4 I/O failure.
+:func:`run` is the one place where a ``ValueError`` (data that floats cannot
+carry) or :class:`~planarcontrol.errors.NotComplexSpectrum` becomes a
+:class:`~planarcontrol.errors.ValidationError`; no file is written before
+it has built every output.  Exit codes: 0 success; 2 config or system
+validation failure; 3 planner failure; 4 I/O failure.
 """
 
 import argparse
@@ -51,7 +56,7 @@ from .errors import (
 from .geometry import build_orbit_region, line_order_coordinates
 from .oracle import ReachSet, default_grid_spec, grid_reachable_set
 from .planner import hop_plan, reach_plan
-from .svg import BezierPath, bezier_path, render_svg
+from .svg import bezier_path, render_svg
 from .system import LinearControlSystem, equilibrium, flow
 
 __all__ = ["SystemConfig", "main", "parse_config", "run"]
@@ -96,65 +101,74 @@ def _has_bool(value) -> bool:
     return isinstance(value, bool)
 
 
-def _floats(value, key: str) -> np.ndarray:
-    """``value`` as a finite float array; JSON booleans are not numbers here,
-    and neither are the ``Infinity`` and ``NaN`` literals that ``json`` reads."""
+# Each shape a field may take, named as an error names it: the array shape
+# it needs (None: any length) and how its value is stored.
+_SHAPES = {
+    "a number": ((), float),
+    "an integer": ((), int),
+    "a pair of numbers": ((2,), np.asarray),
+    "a 2x2 matrix": ((2, 2), np.asarray),
+    "[xmin, xmax, ymin, ymax]": ((4,), lambda x: tuple(x.tolist())),
+    "a list of [alpha, rho]": ((None, 2), lambda x: [tuple(p) for p in x.tolist()]),
+}
+
+_POSITIVE = ("positive", lambda v: v > 0.0)
+
+# Every config field: its path ("grid.dx" is key "dx" of the object "grid"),
+# its SystemConfig attribute (None: read by a rule after the loop), its
+# shape and its range rule (None: any finite value).
+_FIELDS = {
+    "a": ("a", "a 2x2 matrix", None),
+    "eta": ("eta", "a pair of numbers", None),
+    "omega": (None, "a pair of numbers", None),
+    "samples": ("samples", "an integer", ("from 16 to 2^20", lambda v: 16 <= v <= 1 << 20)),
+    "epsilon": ("epsilon", "a number", _POSITIVE),
+    "seed": ("seed", "an integer", ("nonnegative", lambda v: v >= 0)),
+    "u0": ("u0", "a number", None),
+    "grid.dx": ("dx", "a number", _POSITIVE),
+    "grid.dt": ("dt", "a number", _POSITIVE),
+    "grid.horizon": ("horizon", "a number", _POSITIVE),
+    "grid.bounds": ("bounds", "[xmin, xmax, ymin, ymax]", None),
+    "point": ("point", "a pair of numbers", None),
+    "start": ("start", "a pair of numbers", None),
+    "target": ("target", "a pair of numbers", None),
+    "sweep.nu": ("sweep_nu", "a number", None),
+    "sweep.grid": ("sweep_grid", "a list of [alpha, rho]", None),
+}
+_GROUPS = {path.split(".")[0] for path in _FIELDS if "." in path}
+
+
+def _field(path: str, value):
+    """``value`` checked against the row of ``path`` in ``_FIELDS`` and stored
+    as its shape says.  JSON booleans are not numbers here, and neither are
+    the ``Infinity`` and ``NaN`` literals that ``json`` reads."""
+    if path not in _FIELDS:  # a misspelled key would leave its field at the default
+        raise ValidationError(f"unknown field '{path}'")
+    _, shape, rule = _FIELDS[path]
     if _has_bool(value):
-        raise ValidationError(f"field '{key}' must hold numbers, not booleans")
+        raise ValidationError(f"field '{path}' must hold numbers, not booleans")
     try:
         x = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"field '{key}' must hold numbers") from exc
+        raise ValidationError(f"field '{path}' must hold numbers") from exc
     if not np.isfinite(x).all():
-        raise ValidationError(f"field '{key}' must hold finite numbers")
-    return x
-
-
-def _scalar(value, key: str, integral: bool = False) -> float:
-    """One number; with ``integral``, one with an integer value."""
-    x = _floats(value, key)
-    if x.ndim != 0 or (integral and not float(x).is_integer()):
-        kind = "an integer" if integral else "a number"
-        raise ValidationError(f"field '{key}' must be {kind}")
-    return float(x)
-
-
-def _vector(doc, key, required=False):
-    if key not in doc:
-        if required:
-            raise ValidationError(f"missing required field '{key}'")
-        return None
-    v = _floats(doc[key], key)
-    if v.shape != (2,):
-        raise ValidationError(f"field '{key}' must be a pair of numbers")
-    return v
-
-
-# Every top-level key of a config; "A" is an alias of "a".
-_KEYS = ("a", "A", "eta", "omega", "samples", "epsilon", "seed", "u0", "grid",
-         "point", "start", "target", "sweep")
-
-
-# Range of each tunable field, checked once the config is read.
-_RANGES = (
-    ("samples", lambda v: 16 <= v <= 1 << 20, "from 16 to 2^20"),
-    ("epsilon", lambda v: v > 0.0, "positive"),
-    ("seed", lambda v: v >= 0, "nonnegative"),
-    ("dx", lambda v: v > 0.0, "positive"),
-    ("dt", lambda v: v > 0.0, "positive"),
-    ("horizon", lambda v: v > 0.0, "positive"),
-)
-
-
-def _reject_unknown(doc: dict, known: tuple, prefix: str = "") -> None:
-    """A misspelled key would silently leave its field at the default."""
-    for key in doc:
-        if key not in known:
-            raise ValidationError(f"unknown field '{prefix}{key}'")
+        raise ValidationError(f"field '{path}' must hold finite numbers")
+    dims, store = _SHAPES[shape]
+    if (
+        x.ndim != len(dims)
+        or any(d is not None and d != n for d, n in zip(dims, x.shape))
+        or (shape == "an integer" and not float(x).is_integer())
+    ):
+        raise ValidationError(f"field '{path}' must be {shape}")
+    value = store(x)
+    if rule is not None and not rule[1](value):
+        raise ValidationError(f"field '{path}' must be {rule[0]}")
+    return value
 
 
 def parse_config(text: str) -> SystemConfig:
-    """Parse and validate a config document.
+    """Parse and validate a config document: each field against its row of
+    ``_FIELDS``, then the rules that relate fields.
 
     Raises
     ------
@@ -171,70 +185,33 @@ def parse_config(text: str) -> SystemConfig:
         raise ValidationError("config must be a JSON object")
     if "tau_grid" in doc:
         raise ValidationError("field 'tau_grid' was removed: membership is exact")
-    _reject_unknown(doc, _KEYS)
-    raw_a = doc.get("a", doc.get("A"))
-    if raw_a is None:
-        raise ValidationError("missing required field 'a'")
-    a = _floats(raw_a, "a")
-    if a.shape != (2, 2):
-        raise ValidationError("field 'a' must be a 2x2 matrix")
-    eta = _vector(doc, "eta", required=True)
-    if eta[0] == 0.0 and eta[1] == 0.0:
+    if "a" in doc and "A" in doc:
+        raise ValidationError("fields 'a' and 'A' name the same matrix: give one")
+    values = {}
+    for key, value in doc.items():
+        if key in _GROUPS:
+            if not isinstance(value, dict):
+                raise ValidationError(f"field '{key}' must be an object")
+            for sub, v in value.items():
+                values[f"{key}.{sub}"] = _field(f"{key}.{sub}", v)
+        elif "." in key:  # a path names a field only inside its object
+            raise ValidationError(f"unknown field '{key}'")
+        else:
+            key = "a" if key == "A" else key  # "A" is an alias of "a"
+            values[key] = _field(key, value)
+    for key in ("a", "eta", "omega"):
+        if key not in values:
+            raise ValidationError(f"missing required field '{key}'")
+    if not values["eta"].any():
         raise ValidationError("eta must be nonzero")
-    u_min, u_max = (float(x) for x in _vector(doc, "omega", required=True))
+    u_min, u_max = values.pop("omega").tolist()
     if not u_min < u_max:
         raise ValidationError("u- < u+ required")
-    cfg = SystemConfig(a=a, eta=eta, u_min=u_min, u_max=u_max)
-    grid = doc.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ValidationError("field 'grid' must be an object")
-    _reject_unknown(grid, ("dx", "dt", "horizon", "bounds"), "grid.")
-    for where, key, integral in (
-        (doc, "samples", True),
-        (doc, "epsilon", False),
-        (doc, "seed", True),
-        (doc, "u0", False),
-        (grid, "dx", False),
-        (grid, "dt", False),
-        (grid, "horizon", False),
-    ):
-        if key in where:
-            value = _scalar(where[key], key, integral)
-            setattr(cfg, key, int(value) if integral else value)
-    for key, ok, rule in _RANGES:
-        value = getattr(cfg, key)
-        if value is not None and not (math.isfinite(value) and ok(value)):
-            raise ValidationError(f"field '{key}' must be finite and {rule}")
-    if "bounds" in grid:
-        b = _floats(grid["bounds"], "grid.bounds")
-        if b.shape != (4,):
-            raise ValidationError("grid.bounds must be [xmin, xmax, ymin, ymax]")
-        cfg.bounds = tuple(float(x) for x in b)
-    cfg.point = _vector(doc, "point")
-    cfg.start = _vector(doc, "start")
-    cfg.target = _vector(doc, "target")
-    sweep = doc.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, dict) or "nu" not in sweep or "grid" not in sweep:
-            raise ValidationError("field 'sweep' must carry 'nu' and 'grid'")
-        _reject_unknown(sweep, ("nu", "grid"), "sweep.")
-        pairs = sweep["grid"]
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in pairs
-        ):
-            raise ValidationError("sweep.grid must be a list of [alpha, rho]")
-        cfg.sweep_nu = _scalar(sweep["nu"], "sweep.nu")
-        cfg.sweep_grid = [
-            (_scalar(a, "sweep.grid"), _scalar(b, "sweep.grid")) for a, b in pairs
-        ]
-    return cfg
-
-
-def build_system(cfg: SystemConfig) -> LinearControlSystem:
-    try:
-        return LinearControlSystem(cfg.a, cfg.eta, cfg.u_min, cfg.u_max)
-    except (ValueError, NotComplexSpectrum) as exc:
-        raise ValidationError(str(exc)) from exc
+    if "sweep" in doc and not {"sweep.nu", "sweep.grid"} <= values.keys():
+        raise ValidationError("field 'sweep' must carry 'nu' and 'grid'")
+    return SystemConfig(
+        u_min=u_min, u_max=u_max, **{_FIELDS[path][0]: v for path, v in values.items()}
+    )
 
 
 def _fmt(x: float) -> str:
@@ -254,7 +231,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+    return text + "\n"
 
 
 def _csv_text(header: str, rows) -> str:
@@ -290,16 +268,13 @@ def _analysis_checks(region, poly: np.ndarray, seed: int) -> list[dict]:
     # Rounding in original coordinates grows with their magnitude, which a
     # control range far from zero makes large next to the scale.  The
     # residuals stay within about 2 ulps of that magnitude; the second term
-    # allows 45.
-    magnitude = max(np.linalg.norm(region.p_plus), np.linalg.norm(region.p_minus))
+    # allows 45.  Norms are hypot, not a sum of squares, which overflows for
+    # coordinates near the float limit.
+    magnitude = max(math.hypot(*region.p_plus), math.hypot(*region.p_minus))
     closure_tol = 1e-9 * scale + 1e-14 * magnitude
-    res_minus = float(
-        np.linalg.norm(flow(work, half, region.p_plus, work.u_min) - region.p_minus)
-    )
-    res_plus = float(
-        np.linalg.norm(flow(work, half, region.p_minus, work.u_max) - region.p_plus)
-    )
-    closure = float(np.linalg.norm(poly[0] - poly[-1]))
+    res_minus = math.hypot(*(flow(work, half, region.p_plus, work.u_min) - region.p_minus))
+    res_plus = math.hypot(*(flow(work, half, region.p_minus, work.u_max) - region.p_plus))
+    closure = math.hypot(*(poly[0] - poly[-1]))
     coords = line_order_coordinates(region)
     order_vals = [coords["p_minus"], coords["v_u_min"], coords["v_u_max"], coords["p_plus"]]
     order_margin = min(b - a for a, b in zip(order_vals, order_vals[1:]))
@@ -325,16 +300,15 @@ def _analysis_checks(region, poly: np.ndarray, seed: int) -> list[dict]:
 
 
 class _Run:
-    """One run: the system, its region (built once, None at zero trace) and
-    the work system's orbit at ``samples`` points per arc, sampled on first
-    read; only analyze and orbit read it.  Commands add to ``report``,
-    ``outputs`` (name, path, text) and, under ``--svg``, to the SVG's
-    ``layers`` (polylines and :class:`~planarcontrol.svg.BezierPath`) and
-    ``markers``."""
+    """One run: the system and its region (built once, None at zero trace).
+    A command samples at most one orbit, through :meth:`sample`, and adds to
+    ``report``, ``outputs`` (name, path, text) and, under ``--svg``, to the
+    SVG's ``layers`` (polylines and :class:`~planarcontrol.svg.BezierPath`)
+    and ``markers``."""
 
     def __init__(self, command: str, cfg: SystemConfig, args):
         self.cfg, self.args = cfg, args
-        self.sys = build_system(cfg)
+        self.sys = LinearControlSystem(cfg.a, cfg.eta, cfg.u_min, cfg.u_max)
         kind = classify(self.sys)
         zero = kind is Classification.CONTROLLABLE_TRACE_ZERO
         self.region = region = None if zero else build_orbit_region(self.sys)
@@ -350,10 +324,6 @@ class _Run:
         self.layers: list = []
         self.markers: list[np.ndarray] = []
 
-    @functools.cached_property
-    def orbit(self) -> BoundaryOrbit:
-        return self.sample(self.region.work_system)
-
     def sample(self, system: LinearControlSystem) -> BoundaryOrbit:
         """``system``'s orbit at ``samples``; the run's only sampling, and
         the only writer of ``orbit_samples``."""
@@ -365,14 +335,6 @@ class _Run:
         self.outputs.append((name, os.path.join(self.args.out, name), text))
 
 
-def _draw(system: LinearControlSystem, v0, schedule) -> BezierPath:
-    """The exact arcs of ``schedule`` from ``v0``, as an SVG layer."""
-    try:
-        return bezier_path(system, v0, schedule)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
 def _orbit_schedule(system: LinearControlSystem) -> tuple:
     """The boundary orbit from p_plus: one half turn under each extreme control."""
     half = system.half_period
@@ -381,7 +343,8 @@ def _orbit_schedule(system: LinearControlSystem) -> tuple:
 
 def _analyze(ctx: _Run) -> None:
     if ctx.region is not None:
-        ctx.report["checks"] = _analysis_checks(ctx.region, ctx.orbit.polyline(), ctx.cfg.seed)
+        orbit = ctx.sample(ctx.region.work_system)
+        ctx.report["checks"] = _analysis_checks(ctx.region, orbit.polyline(), ctx.cfg.seed)
     ctx.emit("analyze.json", _json_text({**ctx.report, "files": ["analyze.json"]}))
 
 
@@ -389,8 +352,7 @@ def _orbit(ctx: _Run) -> None:
     if ctx.region is None:
         raise TraceZero("orbit subcommand needs a nonzero trace")
     sys_ = ctx.sys
-    # A negative-trace system is its own work system.
-    orbit = ctx.sample(sys_) if ctx.region.time_reversed else ctx.orbit
+    orbit = ctx.sample(sys_)
     half, n = orbit.half_period, len(orbit.arc_minus) - 1
     rows = [(_fmt(half * i / n), _fmt(x), _fmt(y), _fmt(sys_.u_min))
             for i, (x, y) in enumerate(orbit.arc_minus.tolist())]
@@ -437,7 +399,7 @@ def _plan(ctx: _Run) -> None:
     ctx.emit("plan.json", _json_text(ctx.report["plan"]))
     if ctx.args.svg is not None:  # the trajectory is drawn, never written
         work = ctx.region.work_system if plan.time_reversed else sys_
-        ctx.layers.append(_draw(work, plan.start, plan.schedule))
+        ctx.layers.append(bezier_path(work, plan.start, plan.schedule))
     ctx.markers.extend([plan.start, plan.goal])
 
 
@@ -446,11 +408,8 @@ def _reach(ctx: _Run) -> None:
     start = cfg.start
     if start is None:
         start = equilibrium(sys_, 0.5 * (sys_.u_min + sys_.u_max))
-    try:
-        spec = default_grid_spec(sys_, start, cfg.dx, cfg.dt, cfg.horizon, cfg.bounds)
-        reach = grid_reachable_set(sys_, start, spec)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    spec = default_grid_spec(sys_, start, cfg.dx, cfg.dt, cfg.horizon, cfg.bounds)
+    reach = grid_reachable_set(sys_, start, spec)
     pts = reach.occupied_points()
     ctx.emit("reach.csv", _csv_text("x,y", _cell_rows(reach)))
     ctx.report["reach"] = {
@@ -470,14 +429,11 @@ def _reach(ctx: _Run) -> None:
 
 def _sweep(ctx: _Run) -> None:
     cfg = ctx.cfg
-    if cfg.sweep_nu is None or not cfg.sweep_grid:
+    if cfg.sweep_nu is None:  # parse_config reads nu and the grid together
         raise ValidationError("sweep subcommand needs 'sweep.nu' and 'sweep.grid'")
-    try:
-        points = sweep_control_ranges(
-            ctx.sys.a, ctx.sys.eta, cfg.sweep_nu, cfg.sweep_grid, samples_per_arc=cfg.samples
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    points = sweep_control_ranges(
+        ctx.sys.a, ctx.sys.eta, cfg.sweep_nu, cfg.sweep_grid, samples_per_arc=cfg.samples
+    )
     rows = [
         [_fmt(x) for x in (p.alpha, p.rho, *p.p_plus, *p.p_minus, p.hausdorff_prev)]
         for p in points
@@ -491,7 +447,7 @@ def _sweep(ctx: _Run) -> None:
     if ctx.args.svg is not None:
         for p in points[-3:]:
             system = LinearControlSystem(ctx.sys.a, ctx.sys.eta, p.alpha, p.rho)
-            ctx.layers.append(_draw(system, p.p_plus, _orbit_schedule(system)))
+            ctx.layers.append(bezier_path(system, p.p_plus, _orbit_schedule(system)))
 
 
 # Each subcommand: its help text and the function that runs it.
@@ -506,30 +462,37 @@ _COMMANDS = {
 
 
 def run(command: str, cfg: SystemConfig, args) -> dict:
-    """Execute one subcommand; returns the run report (also written to disk).
+    """Execute one subcommand: write its artifacts, print the run report to
+    standard output and return it.
 
     With ``--svg`` the region's boundary and its four points (p+, p-,
     v(u_min), v(u_max)) are drawn under the command's layers and markers.
-    The artifacts are written only after the command, and the SVG if one is
-    asked for, succeeded, so a failing run leaves no files.
+    A ValueError or NotComplexSpectrum raised before the first write (by the
+    system, the command, the SVG or the report's text) becomes a
+    ValidationError, so a failing run leaves no files.
     """
-    ctx = _Run(command, cfg, args)
-    _COMMANDS[command][1](ctx)
-    if args.svg is not None:
-        region, sys_ = ctx.region, ctx.sys
-        if region is not None:
-            work = region.work_system
-            ctx.layers.insert(0, _draw(work, region.p_plus, _orbit_schedule(work)))
-            ctx.markers[:0] = [region.p_plus, region.p_minus,
-                               equilibrium(sys_, sys_.u_min), equilibrium(sys_, sys_.u_max)]
-        if not ctx.layers:
-            raise ValidationError("nothing to render for this command")
-        ctx.outputs.append((args.svg, args.svg, render_svg(ctx.layers, ctx.markers)))
+    try:
+        ctx = _Run(command, cfg, args)
+        _COMMANDS[command][1](ctx)
+        if args.svg is not None:
+            region, sys_ = ctx.region, ctx.sys
+            if region is not None:
+                work = region.work_system
+                ctx.layers.insert(0, bezier_path(work, region.p_plus, _orbit_schedule(work)))
+                ctx.markers[:0] = [region.p_plus, region.p_minus,
+                                   equilibrium(sys_, sys_.u_min), equilibrium(sys_, sys_.u_max)]
+            if not ctx.layers:
+                raise ValidationError("nothing to render for this command")
+            ctx.outputs.append((args.svg, args.svg, render_svg(ctx.layers, ctx.markers)))
+        ctx.report["files"] = [name for name, _, _ in ctx.outputs]
+        report = _json_text(ctx.report)
+    except (ValueError, NotComplexSpectrum) as exc:
+        raise ValidationError(str(exc)) from exc
 
     os.makedirs(args.out, exist_ok=True)
     for _, path, text in ctx.outputs:
         _write_text(path, text)
-    ctx.report["files"] = [name for name, _, _ in ctx.outputs]
+    print(report, end="")
     return ctx.report
 
 
@@ -563,8 +526,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=_sys.stderr)
         return 4
     try:
-        cfg = parse_config(text)
-        report = run(args.command, cfg, args)
+        run(args.command, parse_config(text), args)
     except (ParseError, ValidationError, TraceZero) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
@@ -574,7 +536,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 4
-    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
     return 0
 
 

@@ -131,7 +131,6 @@ class SweepPoint:
     rho: float
     p_plus: np.ndarray
     p_minus: np.ndarray
-    boundary: np.ndarray
     p_plus_coordinate: float
     hausdorff_prev: float
 
@@ -146,10 +145,11 @@ def sweep_control_ranges(
     """Evaluate the orbit family over control ranges [alpha, rho] around a pivot.
 
     Every (alpha, rho) must straddle the pivot.  Each point carries the
-    half-turn fixed points, the sampled boundary, the signed line coordinate
-    of p_plus along -A^-1 eta (which grows without bound as the range grows),
-    and the Hausdorff distance to the previous grid point's boundary (NaN for
-    the first).
+    half-turn fixed points, the signed line coordinate of p_plus along
+    -A^-1 eta (which grows without bound as the range grows), and the
+    Hausdorff distance between its boundary, sampled at ``samples_per_arc``,
+    and the previous grid point's (NaN for the first).  Only the previous
+    boundary is kept, so memory does not grow with the grid.
 
     Requires a negative trace; errors from system construction propagate.
     """
@@ -180,7 +180,6 @@ def sweep_control_ranges(
                 rho=rho,
                 p_plus=orbit.p_plus,
                 p_minus=orbit.p_minus,
-                boundary=boundary,
                 p_plus_coordinate=coord,
                 hausdorff_prev=dist,
             )

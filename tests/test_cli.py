@@ -8,8 +8,17 @@ import json
 import numpy as np
 import pytest
 
-from planarcontrol.cli import _COMMANDS, _analysis_checks, _parser, main
+from planarcontrol.cli import (
+    _COMMANDS,
+    _FIELDS,
+    SystemConfig,
+    _analysis_checks,
+    _parser,
+    main,
+    parse_config,
+)
 from planarcontrol.controlset import periodic_orbit
+from planarcontrol.errors import NotComplexSpectrum
 from planarcontrol.geometry import build_orbit_region
 from planarcontrol.oracle import default_grid_spec, grid_reachable_set
 from planarcontrol.system import LinearControlSystem
@@ -104,6 +113,13 @@ def _run(tmp_path, command, doc, *extra):
         # One step of an expanding flow whose map overflows.
         ("reach", {"a": [[1.0, -1.0], [1.0, 1.0]], "eta": [0.0, 1.0], "start": [0.5, 0.5],
                    "grid": {"dx": 0.1, "dt": 800.0, "horizon": 800.0, "bounds": [0, 1, 0, 1]}}),
+        # "A" is an alias of "a": giving both leaves one unread.
+        ("analyze", {"A": BASE["a"]}),
+        # A sweep with no ranges, and a null one, read by any command.
+        ("analyze", {"sweep": {"nu": 0.0, "grid": []}}),
+        ("analyze", {"sweep": None}),
+        # A path is not a key: "grid.dx" names a field only inside "grid".
+        ("reach", {"grid.dx": 0.1}),
     ],
 )
 def test_malformed_field_exits_2_without_artifacts(tmp_path, capsys, command, change):
@@ -113,6 +129,82 @@ def test_malformed_field_exits_2_without_artifacts(tmp_path, capsys, command, ch
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def _raising(error):
+    def command(ctx):
+        ctx.emit("staged.json", "{}\n")
+        raise error("raised by the command")
+
+    return command
+
+
+def _non_finite(ctx):
+    ctx.emit("staged.json", "{}\n")
+    ctx.report["margin"] = float("inf")  # only the report, on stdout, holds it
+
+
+@pytest.mark.parametrize(
+    "command, failing, message",
+    [
+        ("plan", _raising(ValueError), "raised by the command"),
+        ("sweep", _raising(NotComplexSpectrum), "raised by the command"),
+        ("member", _non_finite, "not JSON compliant"),
+    ],
+    ids=["value-error", "not-complex-spectrum", "non-finite-report"],
+)
+def test_command_error_exits_2_without_artifacts(tmp_path, monkeypatch, capsys, command,
+                                                 failing, message):
+    # run maps each to a validation failure before writing anything.
+    monkeypatch.setitem(_COMMANDS, command, (_COMMANDS[command][0], failing))
+    svg = tmp_path / "plot.svg"
+    code, out = _run(tmp_path, command, BASE, "--svg", str(svg))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not svg.exists()
+
+
+# One valid value of each shape, inside the range of every field of that shape.
+_VALID = {
+    "a number": 0.5,
+    "an integer": 64,
+    "a pair of numbers": [0.25, 0.75],
+    "a 2x2 matrix": [[-1.0, -1.0], [1.0, -1.0]],
+    "[xmin, xmax, ymin, ymax]": [-1.0, 1.0, -2.0, 2.0],
+    "a list of [alpha, rho]": [[-1.0, 1.0], [-2.0, 2.0]],
+}
+
+
+def test_every_field_lands_on_its_attribute():
+    doc = {}
+    for path, (_, shape, _) in _FIELDS.items():
+        group, _, key = path.rpartition(".")
+        (doc.setdefault(group, {}) if group else doc)[key] = _VALID[shape]
+    for alias in ("a", "A"):
+        cfg = parse_config(json.dumps({alias if k == "a" else k: v for k, v in doc.items()}))
+        for path, (attr, shape, _) in _FIELDS.items():
+            want = _VALID[shape]
+            got = [cfg.u_min, cfg.u_max] if attr is None else getattr(cfg, attr)  # omega
+            assert np.array_equal(got, want), path
+            if not isinstance(want, list):
+                assert type(got) is type(want), path
+    attrs = [attr for attr, _, _ in _FIELDS.values() if attr is not None]
+    fields = [f.name for f in dataclasses.fields(SystemConfig)]
+    assert sorted(attrs + ["u_min", "u_max"]) == sorted(fields)
+
+
+def test_analyze_near_the_float_limit_has_finite_margins(tmp_path, capsys):
+    # p± lie near 6e307, where a sum of squares of their coordinates overflows.
+    doc = {"a": [[-1e-8, -1.0], [1.0, -1e-8]], "eta": [1.0, 0.0], "omega": [-1e300, 1e300]}
+    code, out = _run(tmp_path, "analyze", doc)
+    assert code == 0
+
+    def finite_only(literal):
+        raise ValueError(f"non-finite number {literal}")
+
+    checks = json.loads((out / "analyze.json").read_text(), parse_constant=finite_only)["checks"]
+    assert len(checks) == 5 and all(check["passed"] for check in checks), checks
+    json.loads(capsys.readouterr().out, parse_constant=finite_only)
 
 
 @pytest.mark.parametrize(

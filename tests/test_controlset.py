@@ -1,6 +1,7 @@
 """Half-turn pair iterates and fixed points, the periodic orbit, classification, sweep."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,23 @@ def test_sweep_hausdorff_decreases_with_delta(s0):
         values.append(pts[1].hausdorff_prev)
     assert values[0] > values[1] > values[2]
     assert values[2] < 1e-2
+
+
+def test_sweep_holds_no_boundary_once_it_returns(s0):
+    # 64 ranges at 4,096 samples per arc, where one boundary takes 8,193
+    # points (131 kB).  The sweep keeps only the previous boundary for its
+    # Hausdorff distance; keeping every range's would hold 64 of them.
+    samples = 4096
+    grid = [(-1.0 - 0.01 * k, 1.0 + 0.01 * k) for k in range(64)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        points = sweep_control_ranges(s0.a, s0.eta, 0.0, grid, samples_per_arc=samples)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 64
+    assert held <= 3 * periodic_orbit(s0, samples).polyline().nbytes
 
 
 def test_sweep_validates_pivot(s0):

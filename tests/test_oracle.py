@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from planarcontrol import oracle
-from planarcontrol.controlset import periodic_orbit, sweep_control_ranges
+from planarcontrol.controlset import periodic_orbit
 from planarcontrol.errors import EmptySet
 from planarcontrol.geometry import build_orbit_region, polyline_distance
 from planarcontrol.oracle import (
@@ -124,20 +124,24 @@ def test_hausdorff_equals_scalar_double_loop():
         assert hausdorff(a, b) == max(directed(a, b), directed(b, a))
 
 
+def _family(a, eta, grid, samples):
+    """The boundary of each control range of ``grid``, as the sweep samples it."""
+    return [periodic_orbit(LinearControlSystem(a, eta, alpha, rho), samples).polyline()
+            for alpha, rho in grid]
+
+
 def _homothetic_family(ratio, skewed, samples, count=4):
     """Boundaries of the first ``count`` ranges nu ± f w / 2, f = 0.5, 1,
     1.5, 2: each is the previous one scaled about v(nu)."""
     grid = [(0.3 - 0.6 * f, 0.3 + 0.6 * f) for f in (0.5, 1.0, 1.5, 2.0)][:count]
-    family = sweep_control_ranges(spiral_drift(ratio, skewed), [0.4, -0.7], 0.3, grid, samples)
-    return [p.boundary for p in family]
+    return _family(spiral_drift(ratio, skewed), [0.4, -0.7], grid, samples)
 
 
 def _shifted_family(samples, count=4):
     """Boundaries of the first ``count`` of four ranges with moving midpoints
     on the reference system; the middle two cross."""
     grid = [(-1.0, 1.0), (-1.5, 1.5), (-0.5, 2.0), (-3.0, 0.25)][:count]
-    family = sweep_control_ranges([[-1.0, -1.0], [1.0, -1.0]], [1.0, 0.0], 0.0, grid, samples)
-    return [p.boundary for p in family]
+    return _family([[-1.0, -1.0], [1.0, -1.0]], [1.0, 0.0], grid, samples)
 
 
 @pytest.mark.parametrize("samples", [16, 64, 256, 1024])
