@@ -95,14 +95,8 @@ class SystemConfig:
     sweep_grid: list | None = None
 
 
-def _has_bool(value) -> bool:
-    if isinstance(value, list):
-        return any(_has_bool(x) for x in value)
-    return isinstance(value, bool)
-
-
 # Each shape a field may take, named as an error names it: the array shape
-# it needs (None: any length) and how its value is stored.
+# it needs (None: any length but 0) and how its value is stored.
 _SHAPES = {
     "a number": ((), float),
     "an integer": ((), int),
@@ -140,25 +134,25 @@ _GROUPS = {path.split(".")[0] for path in _FIELDS if "." in path}
 
 def _field(path: str, value):
     """``value`` checked against the row of ``path`` in ``_FIELDS`` and stored
-    as its shape says.  JSON booleans are not numbers here, and neither are
-    the ``Infinity`` and ``NaN`` literals that ``json`` reads."""
+    as its shape says.  Only JSON numbers are numbers here: not strings or
+    booleans, nor the ``Infinity`` and ``NaN`` literals that ``json`` reads.
+    The value is walked one level per dimension of the shape, so any
+    nesting deeper than that is rejected without recursion."""
     if path not in _FIELDS:  # a misspelled key would leave its field at the default
         raise ValidationError(f"unknown field '{path}'")
     _, shape, rule = _FIELDS[path]
-    if _has_bool(value):
-        raise ValidationError(f"field '{path}' must hold numbers, not booleans")
-    try:
-        x = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"field '{path}' must hold numbers") from exc
-    if not np.isfinite(x).all():
-        raise ValidationError(f"field '{path}' must hold finite numbers")
     dims, store = _SHAPES[shape]
-    if (
-        x.ndim != len(dims)
-        or any(d is not None and d != n for d, n in zip(dims, x.shape))
-        or (shape == "an integer" and not float(x).is_integer())
-    ):
+    items = [value]
+    for n in dims:
+        if not all(isinstance(x, list) and (len(x) == n if n else bool(x)) for x in items):
+            raise ValidationError(f"field '{path}' must be {shape}")
+        items = [y for x in items for y in x]
+    if not all(type(x) in (int, float) for x in items):  # bool is a subclass of int
+        raise ValidationError(f"field '{path}' must be {shape}")
+    if not all(abs(x) <= _sys.float_info.max for x in items):  # also an int no float holds
+        raise ValidationError(f"field '{path}' must hold finite numbers")
+    x = np.asarray(value, dtype=float)
+    if shape == "an integer" and not float(x).is_integer():
         raise ValidationError(f"field '{path}' must be {shape}")
     value = store(x)
     if rule is not None and not rule[1](value):
@@ -166,20 +160,21 @@ def _field(path: str, value):
     return value
 
 
-def parse_config(text: str) -> SystemConfig:
-    """Parse and validate a config document: each field against its row of
-    ``_FIELDS``, then the rules that relate fields.
+def parse_config(text: str | bytes) -> SystemConfig:
+    """Parse and validate a config document, text or its UTF-8 bytes: each
+    field against its row of ``_FIELDS``, then the rules that relate fields.
 
     Raises
     ------
     ParseError
-        If the text is not well-formed JSON.
+        If the bytes are not UTF-8, or the text is not well-formed JSON or
+        nests too deep for ``json`` to read.
     ValidationError
         Naming the first violated invariant otherwise.
     """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("config must be a JSON object")
@@ -520,7 +515,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "rb") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=_sys.stderr)

@@ -212,46 +212,43 @@ _STEP_FLOOR = 1.0 / 128
 
 def _crossing_search(
     sys: LinearControlSystem,
-    x_center: complex,
     x_base: complex,
-    xi: float,
     s_max: float,
     y_center: complex,
     y_base: complex,
-    zeta: float,
     t_max: float,
 ):
     """Find (s, t) where two spirals meet, as a root of one level-set function.
 
     Points are Python complex numbers in the unit frame (``sys.unit``).  The
-    x-curve is ``x_center + e^{xi s lam}(x_base - x_center)``, s in
-    [0, s_max], with x_base != x_center.  The y-curve, run around
-    ``y_center`` from ``y_base`` with time direction ``zeta``, is the level
-    set g in 2 pi Z of g = phi - ang0 - ln(rho/r0)/k (phi, rho: polar angle
-    and radius about y_center; ang0, r0: those of y_base;
-    k = eig_real/eig_imag), reached at time t = ln(rho/r0)/(zeta eig_real).
+    x-curve is the backward u_min flow ``-1 + e^{-lam s}(x_base + 1)``, s in
+    [0, s_max], with x_base != -1.  The y-curve, run forward around
+    ``y_center`` from ``y_base``, is the level set g in 2 pi Z of
+    g = phi - ang0 - ln(rho/r0)/k (phi, rho: polar angle and radius about
+    y_center; ang0, r0: those of y_base; k = eig_real/eig_imag), reached at
+    time t = ln(rho/r0)/eig_real.
     Inside g, t is clamped to the window [0, t_max] plus a slack, so g stays
     finite at rho = 0.
 
     The scan follows g along the x-curve, unwrapping phi (never g, which
     moves by more than pi per step when |k| is small).  Along the x-curve
-    |x'| = |lam| |x - x_center| and |dg/ds| <= c |x'|/rho, c = sqrt(1 + 1/k^2),
+    |x'| = |lam| |x + 1| and |dg/ds| <= c |x'|/rho, c = sqrt(1 + 1/k^2),
     so a step on which the x-curve travels L < rho(s_a) moves g by at most
     V = c L/(rho(s_a) - L).  Each step is the longest with V <= 0.5 rad, but
     no shorter than 1/128 of a half period and no longer than 1/4 of one.
     The cap keeps turns of g apart: dg/ds vanishes where the x-curve crosses
     one of two fixed circles through y_center, as a rule twice per turn
-    about x_center, and a step spans at most an eighth of a turn.  Where
+    about -1, and a step spans at most an eighth of a turn.  Where
     dg/ds changes sign over a step, g passes the step's ends by at most
     (V - |g_b - g_a|)/2; if a level lies within that, the step is split at
     the turn, the root of dg/ds, so no piece holds two roots of one level.
     A step is searched only if its t, which moves by at most
-    V/(c |zeta eig_real|) over it, can reach the window.
+    V/(c |eig_real|) over it, can reach the window.
 
     Where t at a step's start lies outside the window, the step may skip
     instead.  rho moves by at most the x-curve's travel, so t stays outside
     over the longest step on which the x-curve travels at most
-    |rho_edge - rho(s_a)|, rho_edge = r0 e^{zeta eig_real t_edge} being the
+    |rho_edge - rho(s_a)|, rho_edge = r0 e^{eig_real t_edge} being the
     radius of the window's nearer end t_edge.  Where that step is the
     longer, it is taken unsearched and uncapped (to s_max if rho_edge
     overflows).  It may end on another branch of phi: only the levels
@@ -277,14 +274,14 @@ def _crossing_search(
     """
     cf = sys.canonical
     lam = cf.lam
-    lam_x = xi * lam  # the x-curve is x_center + e^{lam_x s} x_rel
-    x_rel = x_base - x_center
+    lam_x = -lam  # the x-curve is -1 + e^{lam_x s} x_rel
+    x_rel = x_base + 1.0
     rel = y_base - y_center
     r0 = abs(rel)
     ang0 = math.atan2(rel.imag, rel.real)
     # Python floats: numpy scalars would slow every step of the scan.
-    rate = zeta * float(cf.eig_real)  # d ln(rho)/dt on the y-curve
-    turn = zeta * float(cf.eig_imag)  # d phi/dt on the y-curve
+    rate = float(cf.eig_real)  # d ln(rho)/dt on the y-curve
+    turn = float(cf.eig_imag)  # d phi/dt on the y-curve
     inv_k = turn / rate
     two_pi = 2.0 * math.pi
     slack = 1e-9 * t_max
@@ -294,7 +291,7 @@ def _crossing_search(
         # The x-curve's polar angle about y_center (on the branch nearest
         # phi_near), its y-curve time, g, dg/ds and rho.
         rot = cmath.exp(lam_x * s) * x_rel
-        d = x_center + rot - y_center
+        d = -1.0 + rot - y_center
         rho = abs(d)
         phi = phi_near + (math.atan2(d.imag, d.real) - phi_near + math.pi) % two_pi - math.pi
         t = math.log(max(rho, 1e-300) / r0) / rate
@@ -346,7 +343,7 @@ def _crossing_search(
 
     half = math.pi / cf.eig_imag
     h_floor, h_cap = _STEP_FLOOR * half, _STEP_MAX * half
-    mu = xi * float(cf.eig_real)  # d ln|x - x_center|/ds
+    mu = -rate  # d ln|x + 1|/ds
     speed = abs(lam) * abs(x_rel)  # |x'| at s = 0
     c = abs(lam) / abs(float(cf.eig_real))
     travel = _STEP_G / (c + _STEP_G)  # L/rho(s_a) at which V = _STEP_G
@@ -405,28 +402,23 @@ def _crossing_search(
                     t_root = st_root[1]
                     if t_lo <= t_root <= t_hi:
                         t_root = min(max(t_root, 0.0), t_max)
-                        x = x_center + cmath.exp(lam_x * s_root) * x_rel
-                        y = y_center + spiral_arc(lam, zeta * t_root, rel, 1j * rel)
+                        x = -1.0 + cmath.exp(lam_x * s_root) * x_rel
+                        y = y_center + spiral_arc(lam, t_root, rel, 1j * rel)
                         return s_root, t_root, abs(x - y)
         if s_b >= s_max:
             return None
         s_a, st_a = s_b, st_b
 
 
-def spiral_crossing(
-    sys: LinearControlSystem,
-    v,
-    u: float,
-    window_halfperiods: float | None = None,
-    tol: float = 1e-9,
-) -> tuple[float, float]:
+def spiral_crossing(sys: LinearControlSystem, v, u: float) -> tuple[float, float]:
     """Times (s0, t0) with flow(s0, v, u_min) == flow(-t0, v(u_min), u).
 
     Realizes reaching the u_min equilibrium from ``v``: the forward u_min
     spiral from ``v`` meets the backward u-spiral emanating from that
-    equilibrium.  The search covers ``window_halfperiods`` half periods in
-    both time variables; by default it grows with the contraction time until
-    the backward u-spiral has passed ``v``.
+    equilibrium.  On the time-reversed system these are the backward u_min
+    flow and a forward arc, the crossing problem ``reach_plan`` poses.  The
+    search covers a window, in both time variables, that grows with the
+    contraction time until the backward u-spiral has passed ``v``.
 
     Raises
     ------
@@ -452,21 +444,19 @@ def spiral_crossing(
     if abs(v_w + 1.0) <= 1e-12 * size:
         return 0.0, 0.0
     e_u = _unit_centre(sys, u)
-    if window_halfperiods is None:
-        # The u-spiral is at least r0 (e^{-er t} - 1) from e_min, beyond the
-        # whole forward spiral once t > ln(1 + |v - e_min|/r0)/(-er); two
-        # more turns leave room to match the polar angles.
-        growth = math.log1p(abs(v_w + 1.0) / abs(e_u + 1.0))
-        window_halfperiods = growth / (-math.pi * unit.k) + 4.0
-    half = sys.half_period
-    s_max = window_halfperiods * half
-    t_max = window_halfperiods * half
-    found = _crossing_search(sys, -1.0, v_w, 1.0, s_max, e_u, -1.0, zeta=-1.0, t_max=t_max)
-    if found is None or found[2] > tol * size:
+    # The u-spiral is at least r0 (e^{-er t} - 1) from e_min, beyond the
+    # whole forward spiral once t > ln(1 + |v - e_min|/r0)/(-er); two more
+    # turns leave room to match the polar angles.
+    growth = math.log1p(abs(v_w + 1.0) / abs(e_u + 1.0))
+    window = growth / (-math.pi * unit.k) + 4.0
+    t_max = window * sys.half_period
+    # Forward time on the reversed system is backward time on this one, and
+    # its unit frame is this one's complex conjugate; the equilibria are real.
+    found = _crossing_search(sys.time_reversed(), v_w.conjugate(), t_max, e_u, -1.0, t_max)
+    if found is None or found[2] > 1e-9 * size:
         residual = "n/a" if found is None else f"{found[2] * unit.length:.3g}"
         raise NoIntersectionFound(
-            f"no spiral crossing within {window_halfperiods:.6g} half-periods "
-            f"(residual {residual})"
+            f"no spiral crossing within {window:.6g} half-periods (residual {residual})"
         )
     return found[0], found[1]
 
@@ -541,9 +531,7 @@ def reach_plan(
         # within |x - 1| + 2 of it, so the scan ends where the first exceeds
         # the second.
         s_cap = math.log(max((abs(x - 1.0) + 2.0) / r_target, 1.0)) / -er
-        return _crossing_search(
-            work, -1.0, target_w, -1.0, s_cap, 1.0, x, zeta=1.0, t_max=half * (1.0 + 1e-12)
-        )
+        return _crossing_search(work, target_w, s_cap, 1.0, x, half * (1.0 + 1e-12))
 
     if pairs is not None:
         k, found = pairs, exit_through(-unit.corner)

@@ -19,7 +19,7 @@ from planarcontrol.controlset import periodic_orbit
 from planarcontrol.errors import PreconditionViolated, ZeroVector
 from planarcontrol.geometry import Membership, build_orbit_region, polyline_distance
 from planarcontrol.planar import QUARTER_TURN, as_vector, spiral_arc
-from planarcontrol.system import flow
+from planarcontrol.system import LinearControlSystem, flow
 
 
 def from_unit(frame, w) -> np.ndarray:
@@ -251,14 +251,11 @@ def all_pairs_hausdorff(set_a, set_b) -> float:
 
 
 def scan_bisect_crossing_search(
-    sys,
-    x_center: complex,
+    sys: LinearControlSystem,
     x_base: complex,
-    xi: float,
     s_max: float,
     y_center: complex,
     y_base: complex,
-    zeta: float,
     t_max: float,
 ):
     """``planner._crossing_search`` as a fixed scan and bisection.
@@ -271,19 +268,19 @@ def scan_bisect_crossing_search(
     """
     cf = sys.canonical
     lam = cf.lam
-    x_rel = x_base - x_center
+    x_rel = x_base + 1.0
     rel = y_base - y_center
     r0 = abs(rel)
     ang0 = math.atan2(rel.imag, rel.real)
     # Python floats: numpy scalars would slow every step of the scan.
-    rate = zeta * float(cf.eig_real)  # d ln(rho)/dt on the y-curve
-    turn = zeta * float(cf.eig_imag)  # d phi/dt on the y-curve
+    rate = float(cf.eig_real)  # d ln(rho)/dt on the y-curve
+    turn = float(cf.eig_imag)  # d phi/dt on the y-curve
     two_pi = 2.0 * math.pi
     slack = 1e-9 * t_max
     t_lo, t_hi = -slack, t_max + slack
 
     def x_of(s):
-        return x_center + spiral_arc(lam, xi * s, x_rel, 1j * x_rel)
+        return -1.0 + spiral_arc(lam, -s, x_rel, 1j * x_rel)
 
     def level(s, phi_near):
         # The x-curve's polar angle about y_center (on the branch nearest
@@ -346,7 +343,7 @@ def scan_bisect_crossing_search(
                 t_root = level(s_root, phi_lo)[1]
                 if t_lo <= t_root <= t_hi:
                     t_root = min(max(t_root, 0.0), t_max)
-                    y = y_center + spiral_arc(lam, zeta * t_root, rel, 1j * rel)
+                    y = y_center + spiral_arc(lam, t_root, rel, 1j * rel)
                     return s_root, t_root, abs(x_of(s_root) - y)
         s_a, phi_a, t_a, g_a, dg_a = s_b, phi_b, t_b, g_b, dg_b
         i += 1

@@ -36,11 +36,19 @@ MISSING = object()
 
 
 def _run(tmp_path, command, doc, *extra):
-    """Run ``command`` on ``doc``, a config object or the raw config text."""
+    """Run ``command`` on ``doc``, a config object or the raw config text or bytes."""
     cfg = tmp_path / "config.json"
-    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if isinstance(doc, bytes):
+        cfg.write_bytes(doc)
+    else:
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     out = tmp_path / "out"
     return main([command, str(cfg), "--out", str(out), *extra]), out
+
+
+def _nested_a(depth):
+    """Config text whose field 'a' is empty lists nested ``depth`` deep."""
+    return '{"a": ' + "[" * depth + "]" * depth + ', "eta": [1, 0], "omega": [-1, 1]}'
 
 
 @pytest.mark.parametrize(
@@ -120,10 +128,18 @@ def _run(tmp_path, command, doc, *extra):
         ("analyze", {"sweep": None}),
         # A path is not a key: "grid.dx" names a field only inside "grid".
         ("reach", {"grid.dx": 0.1}),
+        # Strings are not numbers, even where they spell one.
+        ("analyze", {"a": [["-1", "-1"], ["1", "-1"]], "eta": ["1", "0"], "omega": ["-1", "1"],
+                     "samples": "64"}),
+        # A field nested far deeper than its shape, within and beyond what json reads.
+        pytest.param("analyze", _nested_a(500), id="analyze-nested-500"),
+        pytest.param("analyze", _nested_a(100_000), id="analyze-nested-100000"),
+        # Bytes that are not UTF-8.
+        pytest.param("analyze", b"\xff\xfe{}", id="analyze-not-utf-8"),
     ],
 )
 def test_malformed_field_exits_2_without_artifacts(tmp_path, capsys, command, change):
-    if not isinstance(change, str):
+    if isinstance(change, dict):
         change = {k: v for k, v in {**BASE, **change}.items() if v is not MISSING}
     code, out = _run(tmp_path, command, change)
     assert code == 2

@@ -1,6 +1,7 @@
 """Hop planning (zero trace), reach planning, and spiral crossings."""
 
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -406,6 +407,12 @@ def test_reach_plan_crossing_turns_within_one_bound_sized_step():
     assert plan.endpoint_error <= 1e-14 * region.scale
 
 
+def test_reference_search_takes_the_package_search_arguments():
+    # reference_crossing_search() swaps the reference in for the package's
+    # search, so both must pose the same problem.
+    assert inspect.signature(_crossing_search) == inspect.signature(scan_bisect_crossing_search)
+
+
 @pytest.mark.parametrize("ratio", [-1.0, -0.3, -0.03])
 @pytest.mark.parametrize("edge", ["scan point", "t = 0", "t = half"])
 def test_crossing_search_edges_match_the_reference(edge, ratio):
@@ -422,9 +429,9 @@ def test_crossing_search_edges_match_the_reference(edge, ratio):
         "t = half": (1.0 + cmath.exp(lam * half) * (y_base - 1.0), 0.37 * half),
     }[edge]
     x_base = -1.0 + cmath.exp(lam * s_at) * (point + 1.0)
-    args = (sys, -1.0, x_base, -1.0, 3.0 * half, 1.0, y_base)
-    got = _crossing_search(*args, zeta=1.0, t_max=half)
-    ref = scan_bisect_crossing_search(*args, zeta=1.0, t_max=half)
+    args = (sys, x_base, 3.0 * half, 1.0, y_base, half)
+    got = _crossing_search(*args)
+    ref = scan_bisect_crossing_search(*args)
     assert abs(got[0] - s_at) <= 1e-14 * half
     assert abs(got[1] - (half if edge == "t = half" else 0.0)) <= 1e-15 * half
     assert got[2] <= 1e-14
@@ -440,11 +447,11 @@ def search_starts(monkeypatch):
     starts = []
     search = planner._crossing_search
 
-    def recording(sys, x_center, x_base, xi, s_max, y_center, y_base, zeta, t_max):
-        rate = zeta * sys.canonical.eig_real
+    def recording(sys, x_base, s_max, y_center, y_base, t_max):
+        rate = sys.canonical.eig_real
         t = math.log(abs(x_base - y_center) / abs(y_base - y_center)) / rate
         starts.append(t / sys.half_period)
-        return search(sys, x_center, x_base, xi, s_max, y_center, y_base, zeta=zeta, t_max=t_max)
+        return search(sys, x_base, s_max, y_center, y_base, t_max)
 
     monkeypatch.setattr(planner, "_crossing_search", recording)
     return starts
@@ -525,9 +532,9 @@ def test_crossing_search_root_at_the_end_of_a_skip_step(ratio, side):
     t_skip = math.log(abs(x_skip - 1.0) / r0) / er
     assert not -slack <= t_skip <= half + slack
     y_base = 1.0 + cmath.exp(-lam * t_skip) * (x_skip - 1.0)
-    args = (sys, -1.0, x_base, -1.0, s_skip + 4.0 * half, 1.0, y_base)
-    got = _crossing_search(*args, zeta=1.0, t_max=half)
-    ref = scan_bisect_crossing_search(*args, zeta=1.0, t_max=half)
+    args = (sys, x_base, s_skip + 4.0 * half, 1.0, y_base, half)
+    got = _crossing_search(*args)
+    ref = scan_bisect_crossing_search(*args)
     assert (got is None) == (ref is None)
     if got is not None:
         assert got[0] > s_skip and 0.0 <= got[1] <= half and got[2] <= 1e-14
@@ -536,16 +543,17 @@ def test_crossing_search_root_at_the_end_of_a_skip_step(ratio, side):
 
 @pytest.mark.parametrize("ratio", [-100.0, -1000.0])
 def test_crossing_search_where_the_window_radius_overflows(ratio):
-    # spiral_crossing's geometry (zeta = -1) at extreme |k|: the window's far
-    # radius r0 e^{-eig_real t_max} is beyond the floats, so a skip step from
-    # before the window runs to s_max.  The search ends in a result or None,
-    # and spiral_crossing in a crossing or a typed error.
+    # spiral_crossing's geometry, posed on the time-reversed system, at
+    # extreme |k|: the window's far radius r0 e^{-eig_real t_max} is beyond
+    # the floats, so a skip step from before the window runs to s_max.  The
+    # search ends in a result or None, and spiral_crossing in a crossing or
+    # a typed error.
     sys = _slow_system(ratio, skewed=True)
     half, er = sys.half_period, sys.canonical.eig_real
     t_max = 10.0 * half
     with pytest.raises(OverflowError):
         math.exp(-er * t_max)
-    found = _crossing_search(sys, -1.0, 0.3 + 0.4j, 1.0, t_max, 1.0, -1.0, zeta=-1.0, t_max=t_max)
+    found = _crossing_search(sys.time_reversed(), 0.3 - 0.4j, t_max, 1.0, -1.0, t_max)
     assert found is None or (0.0 <= found[1] <= t_max and found[2] <= 1e-9)
     e_min = equilibrium(sys, sys.u_min)
     v = e_min + 0.1 * (equilibrium(sys, sys.u_max) - e_min) + [0.0, 0.01]
@@ -677,10 +685,42 @@ def test_spiral_crossing_preconditions(s0, t0):
         spiral_crossing(s0, [0.1, 0.0], 3.0)
 
 
-def test_spiral_crossing_reports_no_crossing(s0):
+@pytest.mark.parametrize("ratio", [-0.03, -0.3, -3.0])
+def test_spiral_crossing_replays_with_an_independent_exponential(ratio):
+    # The crossing is found on the time-reversed system; both arcs are
+    # replayed on this one with the power-series exponential.
+    sys = _slow_system(ratio, skewed=True)
+    region = build_orbit_region(sys)
+    rng = np.random.default_rng(163)
+    e_min = -sys.u_min * np.linalg.solve(sys.a, sys.eta)
+    for _ in range(4):
+        v = _interior_point(rng, region)
+        u = rng.uniform(sys.u_min + 0.05 * (sys.u_max - sys.u_min), sys.u_max)
+        e_u = -u * np.linalg.solve(sys.a, sys.eta)
+        s_at, t_at = spiral_crossing(sys, v, u)
+        assert s_at >= 0.0 and t_at >= 0.0
+        x = scaled_expm(sys.a, s_at) @ (v - e_min) + e_min
+        y = scaled_expm(-sys.a, t_at) @ (e_min - e_u) + e_u
+        assert np.linalg.norm(x - y) <= 1e-9 * (1.0 + np.linalg.norm(v - e_min))
+
+
+def _reversed_search(sys, v, u, window):
+    """spiral_crossing's search on the reversed system over a given window,
+    and the residual spiral_crossing accepts."""
+    v_w = sys.unit.to_unit(np.asarray(v, dtype=float))
+    t_max = window * sys.half_period
+    e_u = planner._unit_centre(sys, u)
+    found = _crossing_search(sys.time_reversed(), v_w.conjugate(), t_max, e_u, -1.0, t_max)
+    return found, 1e-9 * (1.0 + abs(v_w + 1.0))
+
+
+def test_spiral_crossing_reports_no_crossing(s0, monkeypatch):
     # Half a half period is too short a window for the two spirals to meet.
+    found, _ = _reversed_search(s0, [0.3, 0.2], 1.0, 0.5)
+    assert found is None
+    monkeypatch.setattr(planner, "_crossing_search", lambda *args: None)
     with pytest.raises(NoIntersectionFound, match="residual n/a"):
-        spiral_crossing(s0, [0.3, 0.2], 1.0, window_halfperiods=0.5)
+        spiral_crossing(s0, [0.3, 0.2], 1.0)
 
 
 def test_spiral_crossing_default_window_follows_slow_contraction():
@@ -698,8 +738,8 @@ def test_spiral_crossing_default_window_follows_slow_contraction():
     for _ in range(6):
         v = _interior_point(rng, region)
         u = rng.uniform(sys.u_min, sys.u_max)
-        with pytest.raises(NoIntersectionFound):
-            spiral_crossing(sys, v, u, window_halfperiods=8.0)
+        found, tol = _reversed_search(sys, v, u, 8.0)
+        assert found is None or found[2] > tol
         s_at, t_at = spiral_crossing(sys, v, u)
         gap = flow(sys, s_at, v, sys.u_min) - flow(sys, -t_at, e_min, u)
         assert np.linalg.norm(gap) < 1e-9 * (1.0 + region.scale)
